@@ -14,12 +14,11 @@ is the standard estimator for noisy single-core hosts).  The fast
 engine's per-phase split (classify vs contend) is recorded for the best
 run, so a future regression is attributable to the phase that caused it.
 
-The compiled phase-B kernel is opted in by default
-(``REPRO_SIM_JIT=1``; numba or the system C compiler, see
-:mod:`repro.nmcsim._native`) — the record notes which backend actually
-ran.  The >= 10x aggregate-speedup assertion applies when a compiled
-backend is active; toolchain-less hosts fall back to the pure-Python
-loop and the pre-JIT >= 3x floor.
+Phase B runs the compiled C kernel whenever the system C compiler
+builds it (see :mod:`repro.nmcsim._native`) — the record notes which
+backend actually ran.  The >= 10x aggregate-speedup assertion applies
+when the kernel is active; compiler-less hosts fall back to the heapq
+loop and the >= 3x floor.
 
 Emits ``results/BENCH_sim_engine.json`` plus a rendered table.  Set
 ``REPRO_BENCH_SMOKE=1`` (CI) to run reduced traces with one repetition —
@@ -33,15 +32,11 @@ import json
 import os
 import time
 
-# Default-enable the compiled kernel for this benchmark; an explicit
-# REPRO_SIM_JIT=0 in the environment still wins.
-os.environ.setdefault("REPRO_SIM_JIT", "1")
-
 from _bench_utils import emit, emit_record
 
 from repro import get_workload
 from repro.core.reporting import format_table
-from repro.nmcsim import NMCSimulator, jit_status, memo_enabled
+from repro.nmcsim import NMCSimulator, jit_status
 from repro.obs import metrics
 
 WORKLOADS = (
@@ -141,7 +136,7 @@ def test_sim_engine_speedup():
         f"{total_classify:8.3f}", f"{total_contend:8.3f}",
         f"{aggregate:5.2f}x",
     ])
-    backend = jit["backend"] or "python"
+    backend = jit["backend"] or "heapq"
     emit("sim_engine", format_table(
         ["workload", "instrs", "miss", "reference (s)", "fast (s)",
          "classify (s)", "contend (s)", "speedup"],
@@ -172,9 +167,7 @@ def test_sim_engine_speedup():
         },
         config={
             "scale": SCALE, "reps": REPS, "smoke": SMOKE, "seed": 7,
-            "jit_requested": jit["requested"],
             "jit_backend": jit["backend"],
-            "memo_enabled": memo_enabled(),
         },
     )
 

@@ -27,9 +27,7 @@ from ..errors import CampaignError
 from ..ir import InstructionTrace
 from ..nmcsim import (
     MEMO_COUNTER_NAMES,
-    NMCSimulator,
     SimulationResult,
-    batch_enabled,
     configure_store,
     resolve_engine,
     simulate_batch,
@@ -253,66 +251,24 @@ class CampaignCache:
         return len(self._results)
 
 
-def _simulate_point_job(
-    job: tuple[Workload, dict, int, NMCConfig, float, str],
-) -> tuple[ApplicationProfile, SimulationResult, float, dict[str, int]]:
-    """Worker-side body of one campaign point (module-level: picklable).
-
-    Pure function of its payload — trace generation, profiling and
-    simulation are all deterministic given the seed — so parallel
-    campaigns reproduce serial ones bit for bit.  (The trace memo is
-    per-process; workers reuse traces across the points they handle.)
-    The returned mapping carries the point's ``sim.memo.*`` counter
-    deltas, so worker-side memo activity reaches the parent's metrics
-    registry (and hence run manifests).
-    """
-    workload, config, seed, arch, scale, engine = job
-    start = time.perf_counter()
-    m = metrics()
-    memo_before = {name: m.count(name) for name in MEMO_COUNTER_NAMES}
-    point_key = _config_key(workload.name, config, seed)
-    with tracer().span(
-        "campaign.point", workload=workload.name, seed=seed
-    ):
-        trace = _memoized_trace(workload, config, seed, scale, point_key)
-        with metrics().timer("phase.profile"):
-            profile = analyze_trace(
-                trace, workload=workload.name, parameters=dict(config)
-            )
-        result = NMCSimulator(arch, engine=engine).run(
-            trace, workload=workload.name, parameters=dict(config)
-        )
-    m.inc("campaign.points.simulated")
-    # Simulated (deterministic) kernel time — same observation run_point
-    # makes on the serial path, so the histogram deltas shipped back
-    # merge to a snapshot bit-identical to a serial run's.
-    m.observe(
-        "campaign.point.sim_time_s",
-        result.time_s,
-        {"workload": workload.name},
-    )
-    memo_deltas = {
-        name: m.count(name) - memo_before[name]
-        for name in MEMO_COUNTER_NAMES
-    }
-    return profile, result, time.perf_counter() - start, memo_deltas
-
-
 def _simulate_batch_job(
     job: tuple[Workload, list, NMCConfig, float, str, dict],
 ) -> tuple[list, list, float, dict[str, int]]:
-    """Worker-side body of one batched campaign chunk (picklable).
+    """Worker-side body of one campaign chunk (module-level: picklable).
 
     ``job`` carries a contiguous chunk of pending points
     ``(point_key, config, seed)`` plus ``known_profiles`` — profiles the
     parent's cache already holds (from an earlier architecture sweep),
-    shipped along so workers skip re-profiling ("memo adoption").  Trace
-    generation and profiling emit the same per-point spans/timers as the
-    per-point path; simulation then runs through
-    :func:`repro.nmcsim.simulate_batch`, which replays every point's
-    phase B in one kernel invocation while still emitting per-point
-    ``phase.simulate`` spans — so campaign observability contracts hold
-    at any worker count.
+    shipped along so workers skip re-profiling ("memo adoption").  Pure
+    function of its payload — trace generation, profiling and simulation
+    are all deterministic given the seed — so parallel campaigns
+    reproduce serial ones bit for bit.  Every point emits its own
+    ``campaign.point``, ``phase.profile`` and (via
+    :func:`repro.nmcsim.simulate_batch`) ``phase.simulate`` spans, so
+    campaign observability contracts hold at any worker count.  The
+    returned mapping carries the chunk's ``sim.memo.*`` counter deltas,
+    so worker-side memo activity reaches the parent's metrics registry
+    (and hence run manifests).
     """
     workload, chunk, arch, scale, engine, known_profiles = job
     start = time.perf_counter()
@@ -339,6 +295,9 @@ def _simulate_batch_job(
     results = simulate_batch(sim_points, engine=engine)
     for result in results:
         m.inc("campaign.points.simulated")
+        # Simulated (deterministic) kernel time, not wall-clock: serial
+        # and --jobs N campaigns observe the exact same values, so the
+        # shipped histogram deltas merge to a bit-identical snapshot.
         m.observe(
             "campaign.point.sim_time_s",
             result.time_s,
@@ -360,13 +319,12 @@ class SimulationCampaign:
     selects the simulation engine (None = honour ``REPRO_SIM_ENGINE``,
     default fast); both engines produce identical results.
 
-    ``batch`` controls campaign-level batched replay (None = honour
-    ``REPRO_SIM_BATCH``, default on): uncached points are grouped so
-    same-trace points run phase A back to back against warm memos and
-    every point's phase B replays in one compiled kernel invocation —
-    bit-identical to per-point simulation.  ``memo_dir`` points the
-    persistent phase-A memo store at a directory (None = honour
-    ``REPRO_SIM_MEMO_DIR``); pool workers adopt the same store.
+    Uncached points are split into one contiguous chunk per worker and
+    each chunk is simulated with :func:`repro.nmcsim.simulate_batch`,
+    which schedules same-trace points back to back against warm memos.
+    ``memo_dir`` points the persistent phase-A memo store at a directory
+    (None = honour ``REPRO_SIM_MEMO_DIR``); pool workers adopt the same
+    store.
     """
 
     def __init__(
@@ -377,7 +335,6 @@ class SimulationCampaign:
         scale: float = 1.0,
         jobs: int | None = None,
         engine: str | None = None,
-        batch: bool | None = None,
         memo_dir: str | os.PathLike | None = None,
     ) -> None:
         self.arch = arch or default_nmc_config()
@@ -386,10 +343,8 @@ class SimulationCampaign:
         self.scale = scale
         self.jobs = resolve_jobs(jobs)
         self.engine = resolve_engine(engine)
-        self.batch = batch
         if memo_dir is not None:
             configure_store(memo_dir)
-        self._simulator = NMCSimulator(self.arch, engine=self.engine)
         # The canonical arch hash covers every config field; computing it
         # per point was measurable (~0.7 ms each) at campaign scale.
         self._arch_key = _arch_key(self.arch)
@@ -420,61 +375,10 @@ class SimulationCampaign:
         deterministic simulator exhibits the "pure error" the centre
         replicates of a classical CCD are meant to estimate.
         """
-        config = workload.validate_config(config)
-        seed = config_seed(workload.name, config) + replicate
-        point_key = _config_key(workload.name, config, seed)
-        arch_key = self._arch_key
-        cached = self.cache.get(point_key, arch_key)
-        if cached is not None:
-            profile, result = cached
-        else:
-            start = time.perf_counter()
-            with tracer().span(
-                "campaign.point", workload=workload.name, seed=seed
-            ):
-                trace = _memoized_trace(
-                    workload, config, seed, self.scale, point_key
-                )
-                profile = self.cache.get_profile(point_key)
-                if profile is None:
-                    with metrics().timer("phase.profile"):
-                        profile = analyze_trace(
-                            trace, workload=workload.name,
-                            parameters=dict(config),
-                        )
-                result = self._simulator.run(
-                    trace, workload=workload.name, parameters=dict(config)
-                )
-            elapsed = time.perf_counter() - start
-            metrics().inc("campaign.points.simulated")
-            # Simulated (deterministic) kernel time, not wall-clock:
-            # serial and --jobs N campaigns observe the exact same
-            # values, so the shipped histogram deltas merge to a
-            # bit-identical snapshot at any worker count.
-            metrics().observe(
-                "campaign.point.sim_time_s",
-                result.time_s,
-                {"workload": workload.name},
-            )
-            log.debug(
-                "point simulated",
-                extra={"ctx": {
-                    "workload": workload.name,
-                    "point": point_key,
-                    "seconds": round(elapsed, 3),
-                }},
-            )
-            self.doe_run_seconds[workload.name] = (
-                self.doe_run_seconds.get(workload.name, 0.0) + elapsed
-            )
-            self.cache.put(point_key, arch_key, profile, result)
-        return TrainingRow(
-            workload=workload.name,
-            parameters=dict(config),
-            profile=profile,
-            arch=self.arch,
-            result=result,
+        (row,) = self._run_points(
+            workload, [(workload.validate_config(config), replicate)], 1
         )
+        return row
 
     # --------------------------------------------------------- campaigns
 
@@ -517,24 +421,7 @@ class SimulationCampaign:
             }},
         )
         start = time.perf_counter()
-        if batch_enabled(self.batch) and self.engine == "fast":
-            rows = self._run_points_batched(workload, points, jobs_n)
-        elif jobs_n > 1:
-            rows = self._run_points_parallel(workload, points, jobs_n)
-        else:
-            rows = []
-            for i, (config, replicate) in enumerate(points, 1):
-                rows.append(
-                    self.run_point(workload, config, replicate=replicate)
-                )
-                log.info(
-                    "campaign progress",
-                    extra={"ctx": {
-                        "workload": workload.name,
-                        "point": i,
-                        "of": len(points),
-                    }},
-                )
+        rows = self._run_points(workload, points, jobs_n)
         elapsed = time.perf_counter() - start
         self.wall_seconds[workload.name] = elapsed
         log.info(
@@ -555,7 +442,7 @@ class SimulationCampaign:
         """Point keys of all points + the (key, config, seed) not cached.
 
         Cache accounting (hits/misses, trace instants) happens here, once
-        per point — identical to the serial per-point path's lookups.
+        per point.
         """
         keys: list[str] = []
         pending: list[tuple[str, dict, int]] = []
@@ -603,65 +490,21 @@ class SimulationCampaign:
             ))
         return rows
 
-    def _run_points_parallel(
+    def _run_points(
         self,
         workload: Workload,
         points: Sequence[tuple[dict, int]],
         jobs_n: int,
     ) -> list[TrainingRow]:
-        """Simulate the uncached points in workers, merge in point order."""
-        arch_key = self._arch_key
-        keys, pending_points = self._pending_split(workload, points)
-        pending = [
-            (
-                point_key,
-                (workload, config, seed, self.arch, self.scale,
-                 self.engine),
-            )
-            for point_key, config, seed in pending_points
-        ]
-        m = metrics()
-        memo_before = {name: m.count(name) for name in MEMO_COUNTER_NAMES}
-        outputs = map_jobs(
-            _simulate_point_job,
-            [job for _, job in pending],
-            jobs_n=jobs_n,
-        )
-        self._merge_memo_deltas(outputs, memo_before)
-        # Merge in dispatch order so cache contents and timing tallies are
-        # independent of worker completion order.
-        for i, ((point_key, _), (profile, result, elapsed, _)) in enumerate(
-            zip(pending, outputs), 1
-        ):
-            self.cache.put(point_key, arch_key, profile, result)
-            self.doe_run_seconds[workload.name] = (
-                self.doe_run_seconds.get(workload.name, 0.0) + elapsed
-            )
-            log.info(
-                "campaign progress",
-                extra={"ctx": {
-                    "workload": workload.name,
-                    "point": i,
-                    "of": len(pending),
-                }},
-            )
-        return self._rows_from_cache(workload, points, keys)
-
-    def _run_points_batched(
-        self,
-        workload: Workload,
-        points: Sequence[tuple[dict, int]],
-        jobs_n: int,
-    ) -> list[TrainingRow]:
-        """Simulate the uncached points through the batching scheduler.
+        """Simulate the uncached points, merge rows in point order.
 
         Pending points are split into (at most) ``jobs_n`` contiguous
-        chunks; each chunk's phase B replays in one batched kernel
-        invocation (:func:`repro.nmcsim.simulate_batch`).  When the
-        persistent memo store is configured, pool workers adopt the
-        parent's store directory via the executor's ``worker_init``
-        hook, so geometry work done by one worker is reused by all.
-        Results are bit-identical to per-point simulation.
+        chunks, one :func:`_simulate_batch_job` each, merged back into
+        the cache in dispatch order so cache contents and timing tallies
+        are independent of worker completion order.  When the persistent
+        memo store is configured, pool workers adopt the parent's store
+        directory via the executor's ``worker_init`` hook, so geometry
+        work done by one worker is reused by all.
         """
         keys, pending = self._pending_split(workload, points)
         if pending:

@@ -1,33 +1,28 @@
-"""Optional JIT/native backend for the fast engine's contention loop.
+"""The compiled phase-B contention kernel.
 
 Phase B of the fast engine (:mod:`repro.nmcsim.simulator`) replays the
 miss/writeback event stream through a global-time heap.  The loop is
-exact but interpreter-bound: profiling shows ~70% of its cost is CPython
-dispatch and heap bookkeeping, not arithmetic.  This module provides the
-same loop over *packed* flat arrays (all streams' events concatenated,
-offset-indexed) as a compiled kernel, selected at import time:
+exact but interpreter-bound, so it runs as a C kernel over *packed* flat
+arrays (all streams' events concatenated, offset-indexed): the source
+below is compiled on first use with the system C compiler
+(``-O2 -fPIC -shared -ffp-contract=off``) into a source-hash-keyed
+shared object under a cache directory (``$REPRO_SIM_JIT_CACHE``, default
+``<tmp>/repro-simjit-<uid>``, created mode 0700) and loaded with
+:mod:`ctypes`.  A directory or object that is not this user's (or
+root's), or that group/others can write, is refused.  A cached object
+loads in about a millisecond; a cold build costs a fraction of a second
+once per source hash.
 
-* ``numba`` — :func:`contend_packed` is ``njit``-compiled when numba is
-  importable (the dependency stays optional; nothing here imports it at
-  module load);
-* ``cc`` — otherwise the equivalent C translation is compiled on demand
-  with the system C compiler (``-O2 -fPIC -shared -ffp-contract=off``)
-  into a source-hash-keyed shared object under a cache directory and
-  loaded with :mod:`ctypes`;
-* neither available → :func:`get_kernel` returns ``(None, None)`` and
-  the simulator keeps its pure-Python loop.
+When no compiler is found, the build fails or the cache is refused,
+:func:`get_kernel` returns ``(None, None)`` after logging one warning,
+and the simulator runs its heapq loop instead.
 
 Bit-equivalence contract: every floating-point expression below keeps
-the exact operation order of the Python loop (and of
+the exact operation order of the heapq loop (and of
 ``StackedMemory.access``).  C ``double`` and CPython ``float`` are both
 IEEE-754 binary64, and ``-ffp-contract=off`` forbids FMA contraction,
-so the compiled kernels produce byte-identical results — this is
-asserted by the equivalence suite, not assumed.
-
-The kernel is gated behind ``REPRO_SIM_JIT=1`` (checked by the
-simulator, not here); :func:`contend_packed` itself is also the pure
-Python reference used by the unit tests to validate the packed
-formulation independently of any compiler.
+so the kernel produces byte-identical results — this is asserted by the
+equivalence suite, not assumed.
 """
 
 from __future__ import annotations
@@ -48,310 +43,6 @@ log = get_logger("repro.nmcsim.native")
 
 #: Environment variable selecting the shared-object cache directory.
 CACHE_ENV_VAR = "REPRO_SIM_JIT_CACHE"
-
-
-def contend_packed(
-    off,
-    block, vault, bank,
-    wblock, wvault, wbank,
-    dnext, t0, tail, finish,
-    bank_ready, bank_row, bank_until, bus_ready,
-    t_cl, t_bl, t_rp, hop, linger, closed, occupancy, wr_extra, l1_cycle,
-    ooo, mshrs, mshr_buf, mshr_len,
-    heap_t, heap_i, pos,
-):  # pragma: no cover - exercised via tests + compiled backends
-    """Packed-array contention loop (numba-compilable, pure NumPy ops).
-
-    One entry per miss event, streams concatenated with ``off`` bounds;
-    ``wbank < 0`` marks clean evictions.  ``finish`` receives each packed
-    stream's completion time.  ``heap_t``/``heap_i``/``pos``/``mshr_*``
-    are caller-allocated scratch.  Algorithm, event order and FP
-    evaluation order are exactly the simulator's Python loop: a
-    (time, stream) min-heap used peek-style, with the root's decrease-key
-    bound being the heap's second minimum — which in a binary heap is
-    always one of the root's two children, so the bound (and hence the
-    event order) is independent of the heap's internal layout.
-    """
-    n_streams = off.shape[0] - 1
-    heap_n = n_streams
-    for i in range(n_streams):
-        heap_t[i] = t0[i]
-        heap_i[i] = i
-        pos[i] = off[i]
-        mshr_len[i] = 0
-    # Bottom-up heapify on the (t, i) keys.
-    for k0 in range(heap_n // 2 - 1, -1, -1):
-        k = k0
-        kt = heap_t[k]
-        ki = heap_i[k]
-        while True:
-            c = 2 * k + 1
-            if c >= heap_n:
-                break
-            if c + 1 < heap_n and (
-                heap_t[c + 1] < heap_t[c]
-                or (heap_t[c + 1] == heap_t[c] and heap_i[c + 1] < heap_i[c])
-            ):
-                c += 1
-            if heap_t[c] < kt or (heap_t[c] == kt and heap_i[c] < ki):
-                heap_t[k] = heap_t[c]
-                heap_i[k] = heap_i[c]
-                k = c
-            else:
-                break
-        heap_t[k] = kt
-        heap_i[k] = ki
-
-    inf = np.inf
-    while heap_n > 0:
-        t = heap_t[0]
-        i = heap_i[0]
-        j = pos[i]
-        end = off[i + 1]
-        mbase = i * mshrs
-        mlen = mshr_len[i]
-        # Decrease-key bound: the global second minimum, i.e. the
-        # smaller of the root's children; +inf when this stream is alone.
-        if heap_n > 1:
-            c = 1
-            if heap_n > 2 and (
-                heap_t[2] < heap_t[1]
-                or (heap_t[2] == heap_t[1] and heap_i[2] < heap_i[1])
-            ):
-                c = 2
-            ct = heap_t[c]
-            ci = heap_i[c]
-        else:
-            ct = inf
-            ci = np.int64(-1)
-        while True:
-            blk = block[j]
-            v = vault[j]
-            bi = bank[j]
-            # Miss access: timing half of StackedMemory.access.
-            now = t + hop
-            ready = bank_ready[bi]
-            start = now if now > ready else ready
-            open_row = bank_row[bi]
-            row_open = open_row >= 0 and start <= bank_until[bi]
-            if row_open and blk == open_row:
-                data_at = start + t_cl + t_bl
-                bank_ready[bi] = start + t_bl
-            else:
-                pre = t_rp if row_open else 0.0
-                data_at = start + pre + closed
-                bank_ready[bi] = start + pre + occupancy
-            bank_row[bi] = blk
-            bank_until[bi] = data_at + linger
-            br = bus_ready[v]
-            if data_at - t_bl < br:
-                data_at = br + t_bl
-            bus_ready[v] = data_at
-            done = data_at + hop
-            if ooo == 0:
-                t = done + l1_cycle
-            else:
-                # Per-stream MSHR min-heap (completion times).
-                k = mlen
-                mlen += 1
-                while k > 0:
-                    p = (k - 1) // 2
-                    if done < mshr_buf[mbase + p]:
-                        mshr_buf[mbase + k] = mshr_buf[mbase + p]
-                        k = p
-                    else:
-                        break
-                mshr_buf[mbase + k] = done
-                if mlen >= mshrs:
-                    oldest = mshr_buf[mbase]
-                    mlen -= 1
-                    if mlen > 0:
-                        last = mshr_buf[mbase + mlen]
-                        k = 0
-                        while True:
-                            c = 2 * k + 1
-                            if c >= mlen:
-                                break
-                            if (
-                                c + 1 < mlen
-                                and mshr_buf[mbase + c + 1]
-                                < mshr_buf[mbase + c]
-                            ):
-                                c += 1
-                            if mshr_buf[mbase + c] < last:
-                                mshr_buf[mbase + k] = mshr_buf[mbase + c]
-                                k = c
-                            else:
-                                break
-                        mshr_buf[mbase + k] = last
-                    t = (t if t >= oldest else oldest) + l1_cycle
-                else:
-                    t = t + l1_cycle
-            wbi = wbank[j]
-            if wbi >= 0:
-                # Dirty-victim writeback: same pipeline, posted at the
-                # miss completion time; does not block the PE.
-                wblk = wblock[j]
-                wv = wvault[j]
-                now = t + hop
-                ready = bank_ready[wbi]
-                start = now if now > ready else ready
-                open_row = bank_row[wbi]
-                row_open = open_row >= 0 and start <= bank_until[wbi]
-                if row_open and wblk == open_row:
-                    data_at = start + t_cl + t_bl
-                    bank_ready[wbi] = start + t_bl
-                else:
-                    pre = t_rp if row_open else 0.0
-                    data_at = start + pre + closed
-                    bank_ready[wbi] = start + pre + occupancy
-                if wr_extra != 0.0:
-                    # Posted-write asymmetry (NAND-class backends).
-                    data_at = data_at + wr_extra
-                    bank_ready[wbi] = bank_ready[wbi] + wr_extra
-                bank_row[wbi] = wblk
-                bank_until[wbi] = data_at + linger
-                br = bus_ready[wv]
-                if data_at - t_bl < br:
-                    data_at = br + t_bl
-                bus_ready[wv] = data_at
-            dn = dnext[j]
-            j += 1
-            if j < end:
-                tn = t + dn
-                if tn < ct or (tn == ct and i < ci):
-                    t = tn
-                    continue
-                pos[i] = j
-                mshr_len[i] = mlen
-                # heapreplace with the stream's new key.
-                k = 0
-                while True:
-                    c = 2 * k + 1
-                    if c >= heap_n:
-                        break
-                    if c + 1 < heap_n and (
-                        heap_t[c + 1] < heap_t[c]
-                        or (
-                            heap_t[c + 1] == heap_t[c]
-                            and heap_i[c + 1] < heap_i[c]
-                        )
-                    ):
-                        c += 1
-                    if heap_t[c] < tn or (
-                        heap_t[c] == tn and heap_i[c] < i
-                    ):
-                        heap_t[k] = heap_t[c]
-                        heap_i[k] = heap_i[c]
-                        k = c
-                    else:
-                        break
-                heap_t[k] = tn
-                heap_i[k] = i
-                break
-            fin = t + tail[i]
-            for q in range(mlen):
-                if mshr_buf[mbase + q] > fin:
-                    fin = mshr_buf[mbase + q]
-            mshr_len[i] = 0
-            finish[i] = fin
-            # Pop the exhausted stream.
-            heap_n -= 1
-            if heap_n > 0:
-                kt = heap_t[heap_n]
-                ki = heap_i[heap_n]
-                k = 0
-                while True:
-                    c = 2 * k + 1
-                    if c >= heap_n:
-                        break
-                    if c + 1 < heap_n and (
-                        heap_t[c + 1] < heap_t[c]
-                        or (
-                            heap_t[c + 1] == heap_t[c]
-                            and heap_i[c + 1] < heap_i[c]
-                        )
-                    ):
-                        c += 1
-                    if heap_t[c] < kt or (
-                        heap_t[c] == kt and heap_i[c] < ki
-                    ):
-                        heap_t[k] = heap_t[c]
-                        heap_i[k] = heap_i[c]
-                        k = c
-                    else:
-                        break
-                heap_t[k] = kt
-                heap_i[k] = ki
-            break
-
-
-#: Column order of the per-point float parameter table handed to
-#: :func:`contend_packed_multi` (one row per design point).
-PARAM_FIELDS = (
-    "t_cl", "t_bl", "t_rp", "hop", "linger", "closed", "occupancy",
-    "wr_extra", "l1_cycle",
-)
-
-#: Column order of the per-point integer parameter table: the PE model
-#: switches plus the scratch-reset extents (bank / vault counts).
-IPARAM_FIELDS = ("ooo", "mshrs", "n_banks", "n_vaults")
-
-
-def _make_multi(single: Callable) -> Callable:
-    """The multi-point loop over a single-point kernel body.
-
-    Shared between the pure-Python reference and the numba build (numba
-    compiles the closure with ``single`` being the jitted single-point
-    kernel).  ``p_off`` bounds each design point's packed-stream window
-    in the concatenated arrays; ``off`` entries are *absolute* event
-    indices, so the per-point window ``off[s0:s1+1]`` indexes the global
-    event columns directly.  Scratch arrays are sized for the largest
-    point and re-initialised per point — each point starts from the
-    exact idle-memory state a fresh :class:`StackedMemory` would have,
-    which is what makes one batched invocation bit-identical to N
-    separate ones.
-    """
-
-    def contend_packed_multi(
-        p_off, off,
-        block, vault, bank, wblock, wvault, wbank,
-        dnext, t0, tail, finish,
-        params, iparams,
-        bank_ready, bank_row, bank_until, bus_ready,
-        mshr_buf, mshr_len,
-        heap_t, heap_i, pos,
-    ):
-        n_points = p_off.shape[0] - 1
-        for p in range(n_points):
-            s0 = p_off[p]
-            s1 = p_off[p + 1]
-            if s1 == s0:
-                continue
-            nb = iparams[p, 2]
-            nv = iparams[p, 3]
-            bank_ready[:nb] = 0.0
-            bank_row[:nb] = -1
-            bank_until[:nb] = -1.0
-            bus_ready[:nv] = 0.0
-            single(
-                off[s0:s1 + 1],
-                block, vault, bank, wblock, wvault, wbank,
-                dnext, t0[s0:s1], tail[s0:s1], finish[s0:s1],
-                bank_ready, bank_row, bank_until, bus_ready,
-                params[p, 0], params[p, 1], params[p, 2], params[p, 3],
-                params[p, 4], params[p, 5], params[p, 6], params[p, 7],
-                params[p, 8],
-                iparams[p, 0], iparams[p, 1],
-                mshr_buf, mshr_len,
-                heap_t, heap_i, pos,
-            )
-
-    return contend_packed_multi
-
-
-#: Pure-Python reference of the multi-point kernel (also the numba source).
-contend_packed_multi = _make_multi(contend_packed)
 
 
 _C_SOURCE = r"""
@@ -378,6 +69,16 @@ static void sift_down(double *ht, i64 *hi, i64 n, i64 k) {
     hi[k] = v;
 }
 
+/*
+ * One entry per miss event, streams concatenated with ``off`` bounds;
+ * wbank < 0 marks clean evictions.  finish receives each packed stream's
+ * completion time; heap_t/heap_i/pos/mshr_* are caller-allocated
+ * scratch.  Event order and FP evaluation order are exactly the heapq
+ * loop's: a (time, stream) min-heap used peek-style, whose root's
+ * decrease-key bound is the heap's second minimum -- in a binary heap
+ * always one of the root's two children, so the bound (and hence the
+ * event order) does not depend on the heap's internal layout.
+ */
 void contend_packed(
     const i64 *off,
     const i64 *block, const i64 *vault, const i64 *bank,
@@ -531,268 +232,187 @@ void contend_packed(
         }
     }
 }
-
-void contend_packed_multi(
-    const i64 *p_off,
-    const i64 *off,
-    const i64 *block, const i64 *vault, const i64 *bank,
-    const i64 *wblock, const i64 *wvault, const i64 *wbank,
-    const double *dnext, const double *t0, const double *tail,
-    double *finish,
-    const double *params, const i64 *iparams,
-    double *bank_ready, i64 *bank_row, double *bank_until,
-    double *bus_ready,
-    double *mshr_buf, i64 *mshr_len,
-    double *heap_t, i64 *heap_i, i64 *pos, i64 n_points)
-{
-    for (i64 p = 0; p < n_points; p++) {
-        i64 s0 = p_off[p];
-        i64 s1 = p_off[p + 1];
-        if (s1 == s0) continue;
-        const double *pp = params + p * 9;
-        const i64 *ip = iparams + p * 4;
-        i64 nb = ip[2];
-        i64 nv = ip[3];
-        for (i64 b = 0; b < nb; b++) {
-            bank_ready[b] = 0.0;
-            bank_row[b] = -1;
-            bank_until[b] = -1.0;
-        }
-        for (i64 v = 0; v < nv; v++) bus_ready[v] = 0.0;
-        contend_packed(
-            off + s0, block, vault, bank, wblock, wvault, wbank,
-            dnext, t0 + s0, tail + s0, finish + s0,
-            bank_ready, bank_row, bank_until, bus_ready,
-            pp[0], pp[1], pp[2], pp[3], pp[4], pp[5], pp[6], pp[7], pp[8],
-            ip[0], ip[1], mshr_buf, mshr_len,
-            heap_t, heap_i, pos, s1 - s0);
-    }
-}
 """
 
 
-def _build_numba() -> Callable | None:
-    try:
-        import numba  # noqa: F401 - optional dependency
-    except ImportError:
-        return None
-    try:
-        return numba.njit(cache=True, fastmath=False)(contend_packed)
-    except Exception as exc:  # pragma: no cover - defensive
-        log.warning("numba JIT unavailable", extra={"ctx": {"error": str(exc)}})
-        return None
-
-
-def _build_numba_multi(single: Callable) -> Callable | None:
-    """numba-compile the multi-point loop over the jitted single kernel.
-
-    ``cache=True`` is not usable here: the closure captures the jitted
-    single-point dispatcher, which numba cannot persist to its on-disk
-    cache — the (cheap) outer loop recompiles per process instead.
-    """
-    try:
-        import numba  # noqa: F401 - optional dependency
-    except ImportError:  # pragma: no cover - numba gone mid-process
-        return None
-    try:
-        return numba.njit(cache=False, fastmath=False)(_make_multi(single))
-    except Exception as exc:  # pragma: no cover - defensive
-        log.warning(
-            "numba multi-point JIT unavailable",
-            extra={"ctx": {"error": str(exc)}},
-        )
-        return None
-
-
 def _cache_dir() -> str:
+    """The shared-object cache directory, created private (mode 0700).
+
+    The default is per user (``<tmp>/repro-simjit-<uid>``), so users of
+    a shared host never share one.  Loading an object runs its code, so
+    :func:`_require_private` vets the directory before anything in it is
+    built or loaded.
+    """
+    default = "repro-simjit"
+    if hasattr(os, "getuid"):
+        default += f"-{os.getuid()}"
     path = os.environ.get(CACHE_ENV_VAR, "").strip() or os.path.join(
-        tempfile.gettempdir(), "repro-simjit"
+        tempfile.gettempdir(), default
     )
-    os.makedirs(path, exist_ok=True)
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    _require_private(path)
     return path
 
 
-_CC_LIB: ctypes.CDLL | None = None
-_CC_TRIED = False
+def _require_private(path: str) -> None:
+    """Refuse a path another user could have planted or may rewrite:
+    it must be owned by this user (or root) and not group/other
+    writable.  Raises PermissionError otherwise."""
+    if not hasattr(os, "getuid"):
+        return
+    st = os.stat(path)
+    if st.st_uid not in (os.getuid(), 0) or st.st_mode & 0o022:
+        raise PermissionError(
+            f"{path} is owned by uid {st.st_uid} with mode "
+            f"{oct(st.st_mode & 0o777)}; need this user's and not "
+            f"group/other writable"
+        )
 
 
-def _load_cc_lib() -> ctypes.CDLL | None:
-    """Compile (once) and load the shared object holding both C kernels."""
-    global _CC_LIB, _CC_TRIED
-    if _CC_TRIED:
-        return _CC_LIB
-    _CC_TRIED = True
+def _ptr(arr: np.ndarray, dtype: type) -> int:
+    """Address of a C-contiguous ``dtype`` array (anything else would
+    be misread by the kernel, so it is refused)."""
+    if arr.dtype != dtype or not arr.flags.c_contiguous:
+        raise TypeError(
+            f"contention kernel needs a contiguous {np.dtype(dtype)} array, "
+            f"got {arr.dtype} (contiguous={arr.flags.c_contiguous})"
+        )
+    return arr.ctypes.data
+
+
+def _bind(lib: ctypes.CDLL) -> Callable:
+    """The Python entry point of the loaded kernel."""
+    fn = lib.contend_packed
+    fn.restype = None
+    ptr, f64, i64 = ctypes.c_void_p, ctypes.c_double, ctypes.c_int64
+    fn.argtypes = [ptr] * 15 + [f64] * 9 + [i64, i64] + [ptr] * 5 + [i64]
+
+    def contend(
+        off, block, vault, bank, wblock, wvault, wbank, dnext, t0, tail,
+        timing, *, ooo: bool, mshrs: int, n_banks: int, n_vaults: int,
+    ) -> np.ndarray:
+        """Replay one design point's packed streams against idle memory.
+
+        ``timing`` holds the nine float parameters in the C signature's
+        order (``t_cl`` ... ``l1_cycle``).  Returns each packed stream's
+        finish time.  Index bounds are the caller's contract: bundles
+        are built by phase A or vetted when decoded from the memo store.
+        """
+        n = len(off) - 1
+        finish = np.empty(n, dtype=np.float64)
+        # Idle-memory state (what a fresh StackedMemory holds) + scratch.
+        state = (
+            np.zeros(n_banks, dtype=np.float64),
+            np.full(n_banks, -1, dtype=np.int64),
+            np.full(n_banks, -1.0, dtype=np.float64),
+            np.zeros(n_vaults, dtype=np.float64),
+        )
+        scratch = (
+            np.empty(n * mshrs, dtype=np.float64),
+            np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=np.float64),
+            np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=np.int64),
+        )
+        i, f = np.int64, np.float64
+        fn(
+            _ptr(off, i), _ptr(block, i), _ptr(vault, i), _ptr(bank, i),
+            _ptr(wblock, i), _ptr(wvault, i), _ptr(wbank, i),
+            _ptr(dnext, f), _ptr(t0, f), _ptr(tail, f), _ptr(finish, f),
+            _ptr(state[0], f), _ptr(state[1], i), _ptr(state[2], f),
+            _ptr(state[3], f),
+            *timing,
+            1 if ooo else 0, mshrs,
+            _ptr(scratch[0], f), _ptr(scratch[1], i), _ptr(scratch[2], f),
+            _ptr(scratch[3], i), _ptr(scratch[4], i),
+            n,
+        )
+        return finish
+
+    return contend
+
+
+def _build() -> Callable | None:
+    """Compile (or load the cached build of) the kernel; None on failure,
+    after one warning naming the reason."""
     compiler = (
         shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     )
     if compiler is None:
+        log.warning(
+            "no C compiler found; phase-B contention falls back to the "
+            "heapq loop"
+        )
         return None
     digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
     try:
         cache = _cache_dir()
         so_path = os.path.join(cache, f"contend-{digest}.so")
         if not os.path.exists(so_path):
-            src_path = os.path.join(cache, f"contend-{digest}.c")
-            with open(src_path, "w") as fh:
-                fh.write(_C_SOURCE)
-            tmp_path = so_path + f".tmp{os.getpid()}"
-            # -ffp-contract=off: no FMA contraction, so the doubles match
-            # CPython's float arithmetic operation for operation.
-            subprocess.run(
-                [
-                    compiler, "-O2", "-fPIC", "-shared",
-                    "-ffp-contract=off", "-o", tmp_path, src_path,
-                ],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            os.replace(tmp_path, so_path)
-        _CC_LIB = ctypes.CDLL(so_path)
-    except (OSError, subprocess.SubprocessError) as exc:
+            # Process-unique build files: concurrent first builds (pool
+            # workers) never read each other's half-written source, and
+            # the finished object is moved into place atomically.
+            stem = os.path.join(cache, f"contend-{digest}.tmp{os.getpid()}")
+            src_path, tmp_path = stem + ".c", stem + ".so"
+            try:
+                with open(src_path, "w") as fh:
+                    fh.write(_C_SOURCE)
+                # -ffp-contract=off: no FMA contraction, so the doubles
+                # match CPython's float arithmetic operation for operation.
+                subprocess.run(
+                    [
+                        compiler, "-O2", "-fPIC", "-shared",
+                        "-ffp-contract=off", "-o", tmp_path, src_path,
+                    ],
+                    check=True,
+                    capture_output=True,
+                    timeout=120,
+                )
+                os.replace(tmp_path, so_path)
+            finally:
+                for path in (src_path, tmp_path):
+                    if os.path.exists(path):
+                        os.remove(path)
+        _require_private(so_path)
+        lib = ctypes.CDLL(so_path)
+    except PermissionError as exc:
         log.warning(
-            "C kernel build failed; falling back to Python loop",
-            extra={"ctx": {"compiler": compiler, "error": str(exc)}},
+            "C kernel cache is not private to this user; phase-B "
+            "contention falls back to the heapq loop",
+            extra={"ctx": {"error": str(exc)}},
         )
         return None
-    return _CC_LIB
-
-
-def _build_cc() -> Callable | None:
-    lib = _load_cc_lib()
-    if lib is None:
-        return None
-    fn = lib.contend_packed
-    fn.restype = None
-    dp = ctypes.POINTER(ctypes.c_double)
-    ip = ctypes.POINTER(ctypes.c_int64)
-    fn.argtypes = (
-        [ip] + [ip] * 6 + [dp] * 4
-        + [dp, ip, dp, dp]
-        + [ctypes.c_double] * 9
-        + [ctypes.c_int64, ctypes.c_int64, dp, ip]
-        + [dp, ip, ip, ctypes.c_int64]
-    )
-
-    def _as(arr: np.ndarray, ptr_type):
-        return arr.ctypes.data_as(ptr_type)
-
-    def kernel(
-        off, block, vault, bank, wblock, wvault, wbank,
-        dnext, t0, tail, finish,
-        bank_ready, bank_row, bank_until, bus_ready,
-        t_cl, t_bl, t_rp, hop, linger, closed, occupancy, wr_extra,
-        l1_cycle,
-        ooo, mshrs, mshr_buf, mshr_len, heap_t, heap_i, pos,
-    ) -> None:
-        fn(
-            _as(off, ip), _as(block, ip), _as(vault, ip), _as(bank, ip),
-            _as(wblock, ip), _as(wvault, ip), _as(wbank, ip),
-            _as(dnext, dp), _as(t0, dp), _as(tail, dp), _as(finish, dp),
-            _as(bank_ready, dp), _as(bank_row, ip), _as(bank_until, dp),
-            _as(bus_ready, dp),
-            t_cl, t_bl, t_rp, hop, linger, closed, occupancy, wr_extra,
-            l1_cycle,
-            int(ooo), int(mshrs), _as(mshr_buf, dp), _as(mshr_len, ip),
-            _as(heap_t, dp), _as(heap_i, ip), _as(pos, ip),
-            len(off) - 1,
+    except (OSError, subprocess.SubprocessError) as exc:
+        stderr = getattr(exc, "stderr", None) or b""
+        log.warning(
+            "C kernel build failed; phase-B contention falls back to the "
+            "heapq loop",
+            extra={"ctx": {
+                "compiler": compiler,
+                "error": str(exc),
+                "stderr": stderr.decode(errors="replace")[-500:],
+            }},
         )
-
-    return kernel
-
-
-def _build_cc_multi() -> Callable | None:
-    lib = _load_cc_lib()
-    if lib is None:
         return None
-    fn = lib.contend_packed_multi
-    fn.restype = None
-    dp = ctypes.POINTER(ctypes.c_double)
-    ip = ctypes.POINTER(ctypes.c_int64)
-    fn.argtypes = (
-        [ip, ip] + [ip] * 6 + [dp] * 4
-        + [dp, ip]
-        + [dp, ip, dp, dp]
-        + [dp, ip]
-        + [dp, ip, ip, ctypes.c_int64]
-    )
-
-    def _as(arr: np.ndarray, ptr_type):
-        return arr.ctypes.data_as(ptr_type)
-
-    def kernel(
-        p_off, off, block, vault, bank, wblock, wvault, wbank,
-        dnext, t0, tail, finish, params, iparams,
-        bank_ready, bank_row, bank_until, bus_ready,
-        mshr_buf, mshr_len, heap_t, heap_i, pos,
-    ) -> None:
-        fn(
-            _as(p_off, ip), _as(off, ip),
-            _as(block, ip), _as(vault, ip), _as(bank, ip),
-            _as(wblock, ip), _as(wvault, ip), _as(wbank, ip),
-            _as(dnext, dp), _as(t0, dp), _as(tail, dp), _as(finish, dp),
-            _as(params, dp), _as(iparams, ip),
-            _as(bank_ready, dp), _as(bank_row, ip), _as(bank_until, dp),
-            _as(bus_ready, dp),
-            _as(mshr_buf, dp), _as(mshr_len, ip),
-            _as(heap_t, dp), _as(heap_i, ip), _as(pos, ip),
-            len(p_off) - 1,
-        )
-
-    return kernel
+    return _bind(lib)
 
 
 _RESOLVED: tuple[Callable | None, str | None] | None = None
 
 
 def get_kernel() -> tuple[Callable | None, str | None]:
-    """The compiled contention kernel as ``(callable, backend_name)``.
+    """The contention kernel as ``(callable, "cc")``, or ``(None, None)``.
 
-    Resolution is attempted once per process: numba first (portable,
-    no toolchain needed), then the system C compiler; ``(None, None)``
-    when neither is available.  The callable has the exact signature of
-    :func:`contend_packed`.
+    Resolved once per process.  The callable is :func:`_bind`'s
+    ``contend``.
     """
     global _RESOLVED
     if _RESOLVED is None:
-        kernel = _build_numba()
+        kernel = _build()
+        _RESOLVED = (kernel, "cc") if kernel is not None else (None, None)
         if kernel is not None:
-            _RESOLVED = (kernel, "numba")
-        else:
-            kernel = _build_cc()
-            _RESOLVED = (kernel, "cc") if kernel is not None else (None, None)
-        if _RESOLVED[0] is not None:
             log.info(
-                "native contention kernel ready",
-                extra={"ctx": {"backend": _RESOLVED[1]}},
+                "compiled contention kernel ready",
+                extra={"ctx": {"backend": "cc"}},
             )
     return _RESOLVED
-
-
-_RESOLVED_MULTI: tuple[Callable | None, str | None] | None = None
-
-
-def get_batch_kernel() -> tuple[Callable | None, str | None]:
-    """The compiled *multi-point* kernel as ``(callable, backend_name)``.
-
-    Shares backend resolution with :func:`get_kernel` (the single-point
-    kernel is the body the multi loop calls per point); ``(None, None)``
-    when no compiled backend is available — callers fall back to running
-    the points one by one through the Python loop.
-    """
-    global _RESOLVED_MULTI
-    if _RESOLVED_MULTI is None:
-        single, backend = get_kernel()
-        if single is None:
-            _RESOLVED_MULTI = (None, None)
-        elif backend == "numba":
-            multi = _build_numba_multi(single)
-            _RESOLVED_MULTI = (
-                (multi, "numba") if multi is not None else (None, None)
-            )
-        else:
-            multi = _build_cc_multi()
-            _RESOLVED_MULTI = (
-                (multi, "cc") if multi is not None else (None, None)
-            )
-    return _RESOLVED_MULTI

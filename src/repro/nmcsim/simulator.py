@@ -38,13 +38,11 @@ Two further levers sit on top of the fast engine:
   geometry, and the packed phase-B event arrays on the DRAM geometry and
   clock as well.  Each is cached on the trace's ``_memo`` side table
   under its own key, so DoE campaign points that share a slice skip the
-  corresponding work entirely (``sim.memo.*`` counters; disable with
-  ``REPRO_SIM_MEMO=0``).
-* **native phase B** — with ``REPRO_SIM_JIT=1`` the contention loop runs
-  as a compiled kernel (:mod:`repro.nmcsim._native`: numba if
-  importable, else a C translation built with the system compiler),
-  byte-identical to the Python loop; without a usable backend the
-  Python loop is used and results are unchanged.
+  corresponding work entirely (``sim.memo.*`` counters).
+* **compiled phase B** — the contention loop runs as a C kernel
+  (:mod:`repro.nmcsim._native`) whenever the system C compiler builds
+  it; without one, a warning is logged once and the byte-identical
+  heapq loop :func:`_contend_python_bundle` runs instead.
 
 The simulator returns IPC (total instructions / makespan cycles),
 execution time and the full energy breakdown — the labels NAPEL trains
@@ -55,11 +53,10 @@ from __future__ import annotations
 
 import heapq
 import os
-import time
 import warnings
 import weakref
 from collections import OrderedDict
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,7 +64,7 @@ from ..config import SIM_ENGINES, NMCConfig, default_nmc_config
 from ..errors import ConfigError, SimulationError
 from ..ir import OPCODE_LATENCY, InstructionTrace, Opcode
 from ..obs import get_logger, metrics, tracer
-from ._native import get_batch_kernel, get_kernel
+from ._native import get_kernel
 from .cache import Cache, CacheStats
 from .classify import classify_lru
 from .dram import StackedMemory
@@ -80,24 +77,8 @@ log = get_logger("repro.nmcsim")
 #: Environment variable selecting the simulation engine.
 ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
 
-#: Environment variable opting into the compiled phase-B kernel.
-JIT_ENV_VAR = "REPRO_SIM_JIT"
-
-#: Environment variable disabling the phase-A geometry memos ("0" = off).
-MEMO_ENV_VAR = "REPRO_SIM_MEMO"
-
-#: Environment variable capping each in-process memo kind's entry count
-#: (overrides the per-kind defaults in :data:`_MEMO_CAPS`).
-MEMO_CAP_ENV_VAR = "REPRO_SIM_MEMO_CAP"
-
-#: Environment variable disabling the campaign-level batched replay
-#: ("0" = per-point replay; anything else, or unset, = batched).
-BATCH_ENV_VAR = "REPRO_SIM_BATCH"
-
 #: Valid engine names; ``fast`` is the default.
 ENGINES = SIM_ENGINES
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
 def resolve_engine(engine: str | None = None) -> str:
@@ -112,32 +93,14 @@ def resolve_engine(engine: str | None = None) -> str:
     return engine
 
 
-def jit_requested() -> bool:
-    """Whether ``$REPRO_SIM_JIT`` opts into the compiled phase-B kernel."""
-    return os.environ.get(JIT_ENV_VAR, "").strip().lower() in _TRUTHY
-
-
-def _active_kernel() -> Callable | None:
-    """The compiled contention kernel, or None (not requested/available)."""
-    if not jit_requested():
-        return None
-    kernel, _ = get_kernel()
-    return kernel
-
-
 def jit_status() -> dict:
-    """JIT provenance for manifests and benchmark records.
+    """Phase-B kernel provenance for manifests (``sim_jit``) and
+    benchmark records.
 
-    ``backend`` is the compiled backend actually in use (``"numba"`` or
-    ``"cc"``), or None when the JIT is not requested or no backend could
-    be built (the pure-Python loop runs in that case).
+    ``backend`` is ``"cc"`` when the compiled kernel is in use, or None
+    when no C compiler built it and the heapq loop runs instead.
     """
-    requested = jit_requested()
-    backend = None
-    if requested:
-        kernel, name = get_kernel()
-        backend = name if kernel is not None else None
-    return {"requested": requested, "backend": backend}
+    return {"backend": get_kernel()[1]}
 
 
 # --------------------------------------------------------------- memos
@@ -160,7 +123,6 @@ MEMO_COUNTER_NAMES = tuple(
 #: Per-trace LRU capacity of each memo kind.  Streams only vary with the
 #: coarse PE slice (few distinct values per campaign); classification and
 #: event bundles track swept geometries, so they keep a few more entries.
-#: ``$REPRO_SIM_MEMO_CAP`` overrides all three with one entry count.
 _MEMO_CAPS = {"streams": 2, "classify": 4, "events": 4}
 
 #: Traces carrying live memo side tables, tracked weakly so
@@ -169,33 +131,14 @@ _MEMO_CAPS = {"streams": 2, "classify": 4, "events": 4}
 _MEMO_TRACES: "weakref.WeakSet[InstructionTrace]" = weakref.WeakSet()
 
 
-def memo_enabled() -> bool:
-    """Whether the phase-A geometry memos are active (default yes)."""
-    return os.environ.get(MEMO_ENV_VAR, "").strip() != "0"
-
-
-def _memo_cap(kind: str) -> int:
-    """Entry cap of one memo kind (``$REPRO_SIM_MEMO_CAP`` override)."""
-    raw = os.environ.get(MEMO_CAP_ENV_VAR, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return _MEMO_CAPS[kind]
-
-
 def _memo_lookup(trace: InstructionTrace, kind: str, key: tuple, build):
     """Geometry-keyed lookup in the trace's ``_memo`` side table.
 
-    Each kind gets its own small LRU (:data:`_MEMO_CAPS`, overridable
-    with ``$REPRO_SIM_MEMO_CAP``); hits and misses are counted as
-    ``sim.memo.<kind>.<hits|misses>``.  The memo lives on the trace
-    object, so its lifetime is bounded by the campaign-level trace memo
-    that already bounds trace lifetimes.
+    Each kind gets its own small LRU (:data:`_MEMO_CAPS`); hits and
+    misses are counted as ``sim.memo.<kind>.<hits|misses>``.  The memo
+    lives on the trace object, so its lifetime is bounded by the
+    campaign-level trace memo that already bounds trace lifetimes.
     """
-    if not memo_enabled():
-        return build()
     _MEMO_TRACES.add(trace)
     memo: OrderedDict = trace._memo.setdefault(f"sim.{kind}", OrderedDict())
     value = memo.get(key)
@@ -206,8 +149,7 @@ def _memo_lookup(trace: InstructionTrace, kind: str, key: tuple, build):
     value = build()
     memo[key] = value
     metrics().inc(f"sim.memo.{kind}.misses")
-    cap = _memo_cap(kind)
-    while len(memo) > cap:
+    while len(memo) > _MEMO_CAPS[kind]:
         memo.popitem(last=False)
     return value
 
@@ -221,8 +163,6 @@ def _memo_touch(trace: InstructionTrace, kind: str, key: tuple) -> None:
     which looked all three up every run.  Entries absent because the
     product came from the persistent store are silently left absent.
     """
-    if not memo_enabled():
-        return
     memo = trace._memo.get(f"sim.{kind}")
     if memo is not None and key in memo:
         memo.move_to_end(key)
@@ -313,18 +253,6 @@ def simulation_batch_summary() -> dict:
         "points": points,
         "points_per_call": points / calls if calls else 0.0,
     }
-
-
-def batch_enabled(batch: bool | None = None) -> bool:
-    """Whether campaign-level batched replay is on (default yes).
-
-    An explicit argument wins; otherwise ``$REPRO_SIM_BATCH=0`` opts
-    out.  Batched and per-point replay are bit-identical — the switch
-    exists for A/B benchmarking and debugging, not correctness.
-    """
-    if batch is not None:
-        return bool(batch)
-    return os.environ.get(BATCH_ENV_VAR, "").strip() != "0"
 
 
 #: numpy lookup table: opcode value -> execute latency (cycles).
@@ -471,10 +399,10 @@ class _EventBundle:
         return len(self.sidx)
 
     def events_lists(self) -> list[list[tuple]]:
-        """Per-packed-stream Python event tuples (pure-Python loop food).
+        """Per-packed-stream Python event tuples (heapq-loop food).
 
         Built lazily from the packed arrays on the first run that falls
-        back to the interpreter loop, then cached on the bundle (tuples
+        back to the heapq loop, then cached on the bundle (tuples
         of plain scalars: cheap indexing and comparisons; float64 ->
         float is exact).
         """
@@ -598,8 +526,45 @@ def _split_segments(
     return [blob[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _decode_phase_a(data: Mapping[str, np.ndarray]) -> _PhaseA | None:
-    """Rebuild a phase-A product from store arrays (None on bad shape)."""
+def _check_bundle(bundle: _EventBundle, n_banks: int, n_vaults: int) -> None:
+    """Raise ValueError unless phase B can index ``bundle`` safely.
+
+    Phase A builds consistent bundles; ones decoded from the on-disk
+    store are outside input, so the kernel's indexing assumptions are
+    checked there: every packed stream owns at least one event, all
+    event columns agree in length, and bank / vault indices fit the
+    memory state (a writeback bank of -1 means "no writeback").
+    """
+    off = bundle.off
+    n, n_events = len(off) - 1, len(bundle.block)
+    columns = (
+        bundle.vault, bundle.bank, bundle.wblock, bundle.wvault,
+        bundle.wbank, bundle.dnext,
+    )
+    ok = (
+        n >= 0
+        and len(bundle.sidx) == len(bundle.t0) == len(bundle.tail) == n
+        and all(len(c) == n_events for c in columns)
+        and (n == 0 or (off[0] == 0 and off[-1] == n_events))
+        and bool(np.all(off[1:] > off[:-1]))
+    )
+    if ok and n_events:
+        ok = (
+            bundle.bank.min() >= 0 and bundle.wbank.min() >= -1
+            and max(bundle.bank.max(), bundle.wbank.max()) < n_banks
+            and min(bundle.vault.min(), bundle.wvault.min()) >= 0
+            and max(bundle.vault.max(), bundle.wvault.max()) < n_vaults
+        )
+    if not ok:
+        raise ValueError("event bundle indices are inconsistent")
+
+
+def _decode_phase_a(
+    data: Mapping[str, np.ndarray], n_banks: int, n_vaults: int
+) -> _PhaseA | None:
+    """Rebuild a phase-A product from store arrays (None, after a
+    warning, when they are malformed or index outside the memory of
+    ``n_banks`` banks in ``n_vaults`` vaults)."""
     try:
         lens = np.ascontiguousarray(data["lens"], dtype=np.int64)
         if len(lens) != len(_STORE_INT_SEGS) + len(_STORE_FLOAT_SEGS):
@@ -628,6 +593,7 @@ def _decode_phase_a(data: Mapping[str, np.ndarray]) -> _PhaseA | None:
             raise ValueError(f"bad metadata length {len(meta)}")
         bundle.n_reads = int(meta[1])
         bundle.n_writes = int(meta[2])
+        _check_bundle(bundle, n_banks, n_vaults)
         return _PhaseA(
             bundle,
             (int(meta[4]), int(meta[5]), int(meta[6]), int(meta[7])),
@@ -671,22 +637,39 @@ class NMCSimulator:
         workload: str = "",
         parameters: Mapping[str, float] | None = None,
     ) -> SimulationResult:
-        """Simulate one trace; returns IPC, time and energy."""
+        """Simulate one trace; returns IPC, time and energy.
+
+        The fast engine runs as a one-point :func:`simulate_batch`.
+        Reference-engine runs and hardware-traced runs (``--trace-hw``,
+        which needs one timeline event per access, exactly what the fast
+        engine elides) take the per-access path; results are identical
+        either way.
+        """
+        if self.engine == "fast" and not tracer().hw_enabled:
+            return simulate_batch(
+                [(trace, self.config, workload, parameters)], engine="fast"
+            )[0]
         if len(trace) == 0:
             raise SimulationError("cannot simulate an empty trace")
         with metrics().timer("phase.simulate") as span:
-            result = self._run(trace, workload=workload, parameters=parameters)
+            # Opt-in simulated-hardware timeline (None unless
+            # REPRO_TRACE_HW is set): per-PE busy/stall slices, vault
+            # occupancy and cache counter tracks, all on the simulated
+            # nanosecond clock.
+            hw = tracer().hw_timeline()
+            memory = StackedMemory(self.config, timeline=hw)
+            streams = self._build_streams(trace)
+            cache_stats, flush_writes = self._contend_reference(
+                streams, memory, hw
+            )
+            memory.writes += flush_writes
+            makespan_ns = max(s.finish_ns for s in streams)
+            result = self._result(
+                trace, memory, cache_stats, makespan_ns, len(streams),
+                workload, parameters, hw=hw, streams=streams,
+            )
         metrics().inc("nmcsim.runs")
-        log.debug(
-            "simulation done",
-            extra={"ctx": {
-                "workload": workload or "(unnamed)",
-                "engine": self.engine,
-                "instructions": result.instructions,
-                "cycles": result.cycles,
-                "seconds": round(span.elapsed_s or 0.0, 3),
-            }},
-        )
+        _log_done(workload, "reference", result, span.elapsed_s)
         return result
 
     def run_batch(
@@ -695,10 +678,11 @@ class NMCSimulator:
             tuple[InstructionTrace, str, Mapping[str, float] | None]
         ],
     ) -> list[SimulationResult]:
-        """Simulate many traces on this configuration, phase B batched.
+        """Simulate many traces on this configuration, phase A scheduled
+        so points sharing a trace run back to back.
 
         ``items`` holds ``(trace, workload, parameters)`` tuples; see
-        :func:`simulate_batch` for the batching and equivalence
+        :func:`simulate_batch` for the scheduling and equivalence
         contract.
         """
         return simulate_batch(
@@ -754,50 +738,6 @@ class NMCSimulator:
         # Fresh per-run wrappers around the shared (immutable) columns.
         return [_PEStream(*d) for d in digests]
 
-    def _run(
-        self,
-        trace: InstructionTrace,
-        *,
-        workload: str = "",
-        parameters: Mapping[str, float] | None = None,
-    ) -> SimulationResult:
-        # Opt-in simulated-hardware timeline (None unless REPRO_TRACE_HW
-        # is set): per-PE busy/stall slices, vault occupancy and cache
-        # counter tracks, all on the simulated nanosecond clock.  The
-        # timeline needs one event per access, which is exactly what the
-        # fast engine elides — so hardware-traced runs always take the
-        # reference path (results are identical either way).
-        hw = tracer().hw_timeline()
-        engine = self.engine
-        if hw is not None and engine == "fast":
-            engine = "reference"
-        memory = StackedMemory(self.config, timeline=hw)
-
-        if engine == "fast":
-            product = self._phase_a(trace, memory)
-            bundle = product.bundle
-            memory.add_counts(
-                reads=bundle.n_reads,
-                writes=bundle.n_writes,
-                vault_counts=bundle.vault_counts,
-            )
-            with metrics().timer("phase.simulate.contend"):
-                packed_finish = self._contend_product(bundle, memory)
-            return self._finalize(
-                trace, memory, product, packed_finish, workload, parameters
-            )
-
-        streams = self._build_streams(trace)
-        cache_stats, flush_writes = self._contend_reference(
-            streams, memory, hw
-        )
-        memory.writes += flush_writes
-        makespan_ns = max(s.finish_ns for s in streams)
-        return self._result(
-            trace, memory, cache_stats, makespan_ns, len(streams),
-            workload, parameters, hw=hw, streams=streams,
-        )
-
     def _finalize(
         self,
         trace: InstructionTrace,
@@ -807,12 +747,7 @@ class NMCSimulator:
         workload: str,
         parameters: Mapping[str, float] | None,
     ) -> SimulationResult:
-        """Turn a phase-A product + phase-B finish times into a result.
-
-        Shared by the per-point fast path and the batched replay path —
-        literally the same code, which is half of the bit-equivalence
-        argument (the other half being the kernels themselves).
-        """
+        """Turn a phase-A product + phase-B finish times into a result."""
         memory.writes += product.flush_writes
         makespan_ns = 0.0
         for v in product.bundle.finish0.values():
@@ -1126,7 +1061,7 @@ class NMCSimulator:
             len(streams),
         )
 
-    def _phase_a(self, trace: InstructionTrace, memory: StackedMemory) -> _PhaseA:
+    def _phase_a(self, trace: InstructionTrace) -> _PhaseA:
         """The phase-A product, via the memo stack.
 
         Lookup order: in-process events memo on the trace, then the
@@ -1135,7 +1070,6 @@ class NMCSimulator:
         yield the identical product — the store round-trips the exact
         float64/int64 arrays.
         """
-        del memory  # routing state is geometry-only; see _compute_phase_a
         cfg = self.config
         key = _events_key(cfg)
         built = False
@@ -1149,7 +1083,9 @@ class NMCSimulator:
             skey = store_key(trace, key)
             data = store.get(skey)
             if data is not None:
-                product = _decode_phase_a(data)
+                product = _decode_phase_a(
+                    data, cfg.n_vaults * cfg.banks_per_vault, cfg.n_vaults
+                )
                 if product is not None:
                     return product
             product = self._compute_phase_a(trace)
@@ -1170,61 +1106,40 @@ class NMCSimulator:
                 )
             return product
 
-    def _contend_product(
+    def _contend(
         self, bundle: _EventBundle, memory: StackedMemory
     ) -> np.ndarray:
-        """Phase B for one point: packed finish times (empty if no misses)."""
+        """Phase B for one point: packed finish times (empty if no misses).
+
+        Runs the compiled kernel when it built, else the heapq loop.  The
+        kernel starts from its own idle-memory state; nothing reads that
+        state after the run (DRAM statistics are count-based and
+        pre-credited in phase A), so it is not copied back.
+        """
         if not bundle.n_packed:
             return np.empty(0, dtype=np.float64)
         cfg = self.config
-        kernel = _active_kernel()
-        if kernel is not None:
-            return self._contend_native(bundle, memory, kernel)
-        return _contend_python_bundle(
-            bundle, memory,
-            ooo=cfg.pe_type == "ooo",
-            mshrs=cfg.mshr_entries,
-            l1_cycle_ns=cfg.cycle_ns,
-        )
-
-    def _contend_native(
-        self,
-        bundle: _EventBundle,
-        memory: StackedMemory,
-        kernel: Callable,
-    ) -> np.ndarray:
-        """Run phase B through the compiled kernel (packed arrays).
-
-        The kernel is handed fresh state arrays matching StackedMemory's
-        initial timing state; nothing reads that state after the run
-        (DRAM statistics are count-based and pre-credited in phase A),
-        so it does not need to be copied back.
-        """
-        cfg = self.config
-        n = bundle.n_packed
-        mshrs = cfg.mshr_entries
-        n_banks = cfg.n_vaults * cfg.banks_per_vault
-        finish = np.empty(n, dtype=np.float64)
-        kernel(
-            bundle.off,
-            bundle.block, bundle.vault, bundle.bank,
+        ooo = cfg.pe_type == "ooo"
+        kernel = get_kernel()[0]
+        if kernel is None:
+            return _contend_python_bundle(
+                bundle, memory,
+                ooo=ooo, mshrs=cfg.mshr_entries, l1_cycle_ns=cfg.cycle_ns,
+            )
+        return kernel(
+            bundle.off, bundle.block, bundle.vault, bundle.bank,
             bundle.wblock, bundle.wvault, bundle.wbank,
-            bundle.dnext, bundle.t0, bundle.tail, finish,
-            np.zeros(n_banks, dtype=np.float64),
-            np.full(n_banks, -1, dtype=np.int64),
-            np.full(n_banks, -1.0, dtype=np.float64),
-            np.zeros(cfg.n_vaults, dtype=np.float64),
-            memory._t_cl, memory._t_bl, memory._t_rp, memory._hop,
-            memory._linger, memory._closed, memory._occupancy,
-            memory._wr_extra, cfg.cycle_ns,
-            1 if cfg.pe_type == "ooo" else 0, mshrs,
-            np.empty(n * mshrs, dtype=np.float64),
-            np.empty(n, dtype=np.int64),
-            np.empty(n, dtype=np.float64),
-            np.empty(n, dtype=np.int64),
-            np.empty(n, dtype=np.int64),
+            bundle.dnext, bundle.t0, bundle.tail,
+            (
+                memory._t_cl, memory._t_bl, memory._t_rp, memory._hop,
+                memory._linger, memory._closed, memory._occupancy,
+                memory._wr_extra, cfg.cycle_ns,
+            ),
+            ooo=ooo,
+            mshrs=cfg.mshr_entries,
+            n_banks=cfg.n_vaults * cfg.banks_per_vault,
+            n_vaults=cfg.n_vaults,
         )
-        return finish
 
 
 def _contend_python_bundle(
@@ -1235,7 +1150,8 @@ def _contend_python_bundle(
     mshrs: int,
     l1_cycle_ns: float,
 ) -> np.ndarray:
-    """Phase-B contention loop, pure Python (no compiled backend).
+    """Phase-B contention loop in Python: the fallback when no C compiler
+    builds the kernel.
 
     Operates on packed slots throughout.  The heap orders events by
     (time, slot); slot order equals original stream-index order because
@@ -1403,90 +1319,19 @@ def simulate(
 _BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
-def _contend_native_multi(
-    entries: Sequence[tuple[_EventBundle, StackedMemory, NMCConfig]],
-    kernel: Callable,
-) -> list[np.ndarray]:
-    """Replay every entry's phase B in ONE compiled kernel invocation.
-
-    Concatenates the points' packed event columns into global arrays,
-    rebases each point's ``off`` table to absolute event indices, and
-    tabulates the per-point float/int parameters
-    (:data:`repro.nmcsim._native.PARAM_FIELDS` /
-    :data:`~repro.nmcsim._native.IPARAM_FIELDS`).  Scratch arrays are
-    sized for the largest point; the kernel re-initialises them per
-    point, so each point replays from the exact idle-memory state a
-    fresh :class:`StackedMemory` holds — bit-identical to N separate
-    single-point calls.  Returns each point's finish-time slice.
-    """
-    n_packed = np.asarray([e[0].n_packed for e in entries], dtype=np.int64)
-    p_off = np.asarray(
-        np.concatenate(([0], np.cumsum(n_packed))), dtype=np.int64
+def _log_done(
+    workload: str, engine: str, result: SimulationResult, seconds: float | None
+) -> None:
+    log.debug(
+        "simulation done",
+        extra={"ctx": {
+            "workload": workload or "(unnamed)",
+            "engine": engine,
+            "instructions": result.instructions,
+            "cycles": result.cycles,
+            "seconds": round(seconds or 0.0, 3),
+        }},
     )
-    total = int(p_off[-1])
-    ev_counts = np.asarray(
-        [len(e[0].block) for e in entries], dtype=np.int64
-    )
-    ev_base = np.asarray(
-        np.concatenate(([0], np.cumsum(ev_counts))), dtype=np.int64
-    )
-    off = np.asarray(
-        np.concatenate(
-            [b.off[:-1] + base
-             for (b, _m, _c), base in zip(entries, ev_base)]
-            + [ev_base[-1:]]
-        ),
-        dtype=np.int64,
-    )
-
-    def cat(name: str, dtype) -> np.ndarray:
-        # np.asarray leaves the concatenated (contiguous) result alone
-        # when the dtype already matches — no astype copy on the hot path.
-        return np.asarray(
-            np.concatenate([getattr(e[0], name) for e in entries]),
-            dtype=dtype,
-        )
-
-    params = np.empty((len(entries), 9), dtype=np.float64)
-    iparams = np.empty((len(entries), 4), dtype=np.int64)
-    for p, (_b, memory, cfg) in enumerate(entries):
-        params[p] = (
-            memory._t_cl, memory._t_bl, memory._t_rp, memory._hop,
-            memory._linger, memory._closed, memory._occupancy,
-            memory._wr_extra, cfg.cycle_ns,
-        )
-        iparams[p] = (
-            1 if cfg.pe_type == "ooo" else 0,
-            cfg.mshr_entries,
-            cfg.n_vaults * cfg.banks_per_vault,
-            cfg.n_vaults,
-        )
-    max_banks = int(iparams[:, 2].max())
-    max_vaults = int(iparams[:, 3].max())
-    max_streams = int(n_packed.max())
-    max_mshr_buf = int((n_packed * iparams[:, 1]).max())
-    finish = np.empty(total, dtype=np.float64)
-    kernel(
-        p_off, off,
-        cat("block", np.int64), cat("vault", np.int64),
-        cat("bank", np.int64), cat("wblock", np.int64),
-        cat("wvault", np.int64), cat("wbank", np.int64),
-        cat("dnext", np.float64), cat("t0", np.float64),
-        cat("tail", np.float64), finish,
-        params, iparams,
-        np.empty(max_banks, dtype=np.float64),
-        np.empty(max_banks, dtype=np.int64),
-        np.empty(max_banks, dtype=np.float64),
-        np.empty(max_vaults, dtype=np.float64),
-        np.empty(max_mshr_buf, dtype=np.float64),
-        np.empty(max_streams, dtype=np.int64),
-        np.empty(max_streams, dtype=np.float64),
-        np.empty(max_streams, dtype=np.int64),
-        np.empty(max_streams, dtype=np.int64),
-    )
-    return [
-        finish[p_off[p]:p_off[p + 1]] for p in range(len(entries))
-    ]
 
 
 def simulate_batch(
@@ -1496,22 +1341,24 @@ def simulate_batch(
     *,
     engine: str | None = None,
 ) -> list[SimulationResult]:
-    """Simulate many design points with phase B batched into one call.
+    """Simulate many design points; the fast engine's one entry point.
 
     ``points`` holds ``(trace, config, workload, parameters)`` tuples
     (``config=None`` means the Table 3 default).  Results are returned
-    in input order and are bit-identical to running each point through
-    :meth:`NMCSimulator.run` — the batching only amortises kernel
-    dispatch, never changes event order (points are independent: each
-    replays against its own idle memory state).
+    in input order.  Points are independent (each replays against its
+    own idle memory state), so the schedule never changes a result: it
+    runs points sharing a trace, and then an architecture slice, back to
+    back, so the per-trace memo LRUs stay warm however the caller
+    ordered the sweep.
 
-    Per point, the usual ``phase.simulate`` span (wrapping phase A) and
-    ``nmcsim.runs`` count are emitted, so campaign-level observability
-    contracts hold in both modes; the shared phase-B invocation is
-    instrumented with ``sim.batch.*`` counters/histograms only.
+    Each point emits one ``phase.simulate`` span (with its
+    ``phase.simulate.classify`` and ``phase.simulate.contend`` children)
+    and one ``nmcsim.runs`` count; each call adds the ``sim.batch.*``
+    counters and observes its summed contention seconds in the
+    ``sim.batch.contend_s`` histogram.
 
     Non-fast engines and hardware-timeline runs fall back to per-point
-    :meth:`~NMCSimulator.run` calls (identical results, no batching).
+    :meth:`~NMCSimulator.run` calls on the per-access path.
     """
     if not points:
         return []
@@ -1531,9 +1378,6 @@ def simulate_batch(
             for trace, cfg, workload, parameters in points
         ]
 
-    # Schedule phase A so points sharing a trace (and then an
-    # architecture slice) run back to back: the per-trace memo LRUs
-    # stay warm however the caller ordered the sweep.
     trace_rank: dict[int, int] = {}
     for trace, _cfg, _w, _p in points:
         trace_rank.setdefault(id(trace), len(trace_rank))
@@ -1548,72 +1392,37 @@ def simulate_batch(
             i,
         )
 
-    prepared: list[tuple[NMCSimulator, StackedMemory, _PhaseA] | None] = (
-        [None] * len(points)
-    )
+    m = metrics()
+    contend_s = 0.0
+    results: list[SimulationResult | None] = [None] * len(points)
     for i in sorted(range(len(points)), key=order_key):
-        trace, cfg, _workload, _parameters = points[i]
+        trace, cfg, workload, parameters = points[i]
         if len(trace) == 0:
             raise SimulationError("cannot simulate an empty trace")
         sim = sim_for(cfg)
-        with metrics().timer("phase.simulate"):
+        with m.timer("phase.simulate") as span:
             memory = StackedMemory(sim.config)
-            product = sim._phase_a(trace, memory)
+            product = sim._phase_a(trace)
             bundle = product.bundle
             memory.add_counts(
                 reads=bundle.n_reads,
                 writes=bundle.n_writes,
                 vault_counts=bundle.vault_counts,
             )
-        prepared[i] = (sim, memory, product)
-
-    packed = [
-        i for i in range(len(points))
-        if prepared[i][2].bundle.n_packed  # type: ignore[index]
-    ]
-    m = metrics()
-    t_start = time.perf_counter()
-    finishes: dict[int, np.ndarray] = {}
-    if packed:
-        single = _active_kernel()
-        kernel = get_batch_kernel()[0] if single is not None else None
-        if kernel is not None:
-            entries = [
-                (prepared[i][2].bundle, prepared[i][1], prepared[i][0].config)
-                for i in packed
-            ]
-            finishes = dict(zip(packed, _contend_native_multi(entries, kernel)))
-        elif single is not None:
-            for i in packed:
-                sim, memory, product = prepared[i]
-                finishes[i] = sim._contend_native(
-                    product.bundle, memory, single
-                )
-        else:
-            for i in packed:
-                sim, memory, product = prepared[i]
-                cfg = sim.config
-                finishes[i] = _contend_python_bundle(
-                    product.bundle, memory,
-                    ooo=cfg.pe_type == "ooo",
-                    mshrs=cfg.mshr_entries,
-                    l1_cycle_ns=cfg.cycle_ns,
-                )
+            with m.timer("phase.simulate.contend") as contend:
+                finish = sim._contend(bundle, memory)
+            contend_s += contend.elapsed_s or 0.0
+            result = sim._finalize(
+                trace, memory, product, finish, workload, parameters
+            )
+        results[i] = result
+        m.inc("nmcsim.runs")
+        _log_done(workload, "fast", result, span.elapsed_s)
     m.inc("sim.batch.calls")
     m.inc("sim.batch.points", len(points))
     m.observe(
         "sim.batch.points_per_call", float(len(points)),
         bounds=_BATCH_SIZE_BOUNDS,
     )
-    m.observe("sim.batch.contend_s", time.perf_counter() - t_start)
-
-    results: list[SimulationResult] = []
-    for i, (trace, _cfg, workload, parameters) in enumerate(points):
-        sim, memory, product = prepared[i]
-        results.append(
-            sim._finalize(
-                trace, memory, product, finishes.get(i), workload, parameters
-            )
-        )
-        m.inc("nmcsim.runs")
-    return results
+    m.observe("sim.batch.contend_s", contend_s)
+    return results  # type: ignore[return-value]

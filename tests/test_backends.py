@@ -180,6 +180,17 @@ class TestHmcBitIdentity:
             ).to_json_dict()
             assert got == want, f"{name} ({engine}) drifted from golden"
 
+    def test_heapq_fallback_matches_pre_refactor_golden(
+        self, golden, heapq_phase_b
+    ):
+        cfg = NMCConfig.from_backend("hmc")
+        for name, want in golden["results"].items():
+            got = run(
+                name, cfg, scale=golden["scale"], seed=golden["seed"],
+                engine="fast", workload=name, parameters={"p": 1.0},
+            ).to_json_dict()
+            assert got == want, f"{name} (heapq) drifted from golden"
+
 
 class TestBackendGoldens:
     """Per-backend golden snapshots at the test inputs."""

@@ -1,9 +1,10 @@
 """Batched campaign replay + the persistent phase-A memo store.
 
-Covers the bit-identity matrix (batched vs per-point across workloads,
-backends, job counts and JIT legs), the persistent store's corruption /
-version-skew tolerance, concurrent-writer safety, the in-process memo
-cap override, and benchmark-record placement.
+Covers the bit-identity matrix (batched vs per-point and reference
+across workloads, backends, job counts, and the compiled kernel vs its
+heapq fallback), contention-time attribution, the persistent store's
+corruption / version-skew tolerance, concurrent-writer safety, the
+in-process memo bounds, and benchmark-record placement.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.errors import SimulationError
 from repro.nmcsim import (
     MemoStore,
     NMCSimulator,
-    batch_enabled,
     configure_store,
     simulate_batch,
     simulation_batch_summary,
@@ -30,9 +30,11 @@ from repro.nmcsim import (
     store_dir,
     store_status,
 )
+from repro.nmcsim import _native as native_mod
 from repro.nmcsim import memostore as memostore_mod
+from repro.nmcsim import simulator as simulator_mod
 from repro.nmcsim.memostore import store_key
-from repro.obs import metrics
+from repro.obs import metrics, phase_timings
 from repro.workloads import get_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +57,13 @@ def canonical(result) -> str:
     return json.dumps(result.to_json_dict(), sort_keys=True)
 
 
+def use_kernel(monkeypatch, compiled: str) -> None:
+    """``"0"`` forces phase B onto the heapq fallback for this test;
+    ``"1"`` keeps the compiled kernel (when a C compiler built it)."""
+    if compiled == "0":
+        monkeypatch.setattr(native_mod, "_RESOLVED", (None, None))
+
+
 def arch_variants() -> list[NMCConfig]:
     base = default_nmc_config()
     return [
@@ -68,9 +77,9 @@ def arch_variants() -> list[NMCConfig]:
 # ----------------------------------------------------- bit-identity matrix
 
 class TestBatchedBitIdentity:
-    @pytest.mark.parametrize("jit", ["0", "1"])
-    def test_simulate_batch_matches_per_point(self, monkeypatch, jit):
-        monkeypatch.setenv("REPRO_SIM_JIT", jit)
+    @pytest.mark.parametrize("compiled", ["0", "1"])
+    def test_simulate_batch_matches_per_point(self, monkeypatch, compiled):
+        use_kernel(monkeypatch, compiled)
         points = []
         for wname in ("atax", "bfs", "mvt"):
             trace = small_trace(wname)
@@ -86,6 +95,8 @@ class TestBatchedBitIdentity:
         ]
         got = simulate_batch(points, engine="fast")
         assert [canonical(r) for r in got] == expected
+        reference = simulate_batch(points, engine="reference")
+        assert [canonical(r) for r in reference] == expected
 
     def test_reference_engine_falls_back_per_point(self):
         trace = small_trace("atax", scale=8.0)
@@ -103,19 +114,18 @@ class TestBatchedBitIdentity:
             simulate_batch([(empty, None, "atax", {})])
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("jit", ["0", "1"])
+    @pytest.mark.parametrize("compiled", ["0", "1"])
     def test_campaign_batched_matches_per_point(
-        self, monkeypatch, jit, jobs, tmp_path
+        self, monkeypatch, compiled, jobs, tmp_path
     ):
-        monkeypatch.setenv("REPRO_SIM_JIT", jit)
+        use_kernel(monkeypatch, compiled)
         workload = get_workload("atax")
         baseline = SimulationCampaign(
-            scale=8.0, jobs=1, batch=False
+            scale=8.0, jobs=1, engine="reference"
         ).run(workload)
         expected = [canonical(row.result) for row in baseline.rows]
         batched = SimulationCampaign(
-            scale=8.0, jobs=jobs, batch=True,
-            memo_dir=tmp_path / "store",
+            scale=8.0, jobs=jobs, memo_dir=tmp_path / "store",
         ).run(workload)
         assert [canonical(row.result) for row in batched.rows] == expected
         assert [row.parameters for row in batched.rows] == [
@@ -125,7 +135,7 @@ class TestBatchedBitIdentity:
     def test_campaign_batched_reuses_cache(self, tmp_path):
         workload = get_workload("atax")
         cache = CampaignCache()
-        campaign = SimulationCampaign(cache=cache, scale=8.0, batch=True)
+        campaign = SimulationCampaign(cache=cache, scale=8.0)
         first = campaign.run(workload)
         before = dict(campaign.doe_run_seconds)
         again = campaign.run(workload)
@@ -137,16 +147,6 @@ class TestBatchedBitIdentity:
 
 
 class TestBatchToggle:
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        assert batch_enabled() is True
-        monkeypatch.setenv("REPRO_SIM_BATCH", "0")
-        assert batch_enabled() is False
-        # The explicit argument beats the environment.
-        assert batch_enabled(True) is True
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        assert batch_enabled(False) is False
-
     def test_batch_summary_counts(self):
         trace = small_trace("atax", scale=8.0)
         before = simulation_batch_summary()
@@ -155,6 +155,55 @@ class TestBatchToggle:
         assert after["calls"] == before["calls"] + 1
         assert after["points"] == before["points"] + 3
         assert after["points_per_call"] > 0
+
+
+class TestContentionAttribution:
+    """Phase B is timed per point, inside the point's simulate span."""
+
+    NAMES = ("phase.simulate", "phase.simulate.contend")
+
+    def _counts(self):
+        m = metrics()
+        counts = {
+            name: (m.timer_stats(name) or {"count": 0})["count"]
+            for name in self.NAMES
+        }
+        counts["nmcsim.runs"] = m.count("nmcsim.runs")
+        hist = m.histogram("sim.batch.contend_s")
+        counts["contend_calls"] = hist.count if hist is not None else 0
+        return counts
+
+    def _delta(self, before):
+        after = self._counts()
+        return {k: after[k] - before[k] for k in after}
+
+    @pytest.mark.parametrize("compiled", ["0", "1"])
+    def test_single_run_and_batch(self, monkeypatch, compiled):
+        use_kernel(monkeypatch, compiled)
+        trace = small_trace("bfs", scale=8.0)
+        before = self._counts()
+        NMCSimulator(engine="fast").run(trace, workload="bfs")
+        assert self._delta(before) == {
+            "phase.simulate": 1, "phase.simulate.contend": 1,
+            "nmcsim.runs": 1, "contend_calls": 1,
+        }
+        before = self._counts()
+        simulate_batch([(trace, None, "bfs", {})] * 3)
+        assert self._delta(before) == {
+            "phase.simulate": 3, "phase.simulate.contend": 3,
+            "nmcsim.runs": 3, "contend_calls": 1,
+        }
+
+    def test_campaign_phases_include_contention(self):
+        m = metrics()
+        base = m.snapshot()
+        SimulationCampaign(scale=8.0).run(get_workload("bfs"))
+        delta = m.diff(base)
+        phases = phase_timings(delta)
+        assert phases["simulate.contend"] > 0
+        assert phases["simulate"] >= phases["simulate.contend"]
+        points = delta["counters"]["nmcsim.runs"]
+        assert delta["timers"]["phase.simulate.contend"]["count"] == points
 
 
 # ------------------------------------------------------- persistent store
@@ -200,6 +249,30 @@ class TestMemoStore:
         _, again = self._run_with_store(tmp_path)
         assert store_status()["hits"] == hits_before + 1
         assert canonical(again) == canonical(rebuilt)
+
+    def test_out_of_range_bank_warns_and_rebuilds(self, tmp_path):
+        _, cold = self._run_with_store(tmp_path)
+        (entry,) = list(tmp_path.rglob("*.bin"))
+        key = entry.stem
+        store = MemoStore(tmp_path)
+        data = {name: arr.copy() for name, arr in store.get(key).items()}
+        # ints = sidx | off | block | vault | bank | ...: point the last
+        # event's bank past the memory's last bank.
+        lens = data["lens"]
+        bank_end = int(lens[:5].sum())
+        cfg = default_nmc_config()
+        data["ints"][bank_end - 1] = cfg.n_vaults * cfg.banks_per_vault
+        store.put(key, data)
+        errors_before = store_status()["errors"]
+        with pytest.warns(RuntimeWarning, match="invalid phase-A"):
+            _, rebuilt = self._run_with_store(tmp_path)
+        assert canonical(rebuilt) == canonical(cold)
+        assert store_status()["errors"] == errors_before + 1
+        # The rebuilt product replaced the bad entry: next lookup hits.
+        hits_before = store_status()["hits"]
+        _, again = self._run_with_store(tmp_path)
+        assert store_status()["hits"] == hits_before + 1
+        assert canonical(again) == canonical(cold)
 
     def test_version_skew_discarded(self, tmp_path, monkeypatch):
         store = MemoStore(tmp_path)
@@ -257,7 +330,9 @@ class TestMemoStore:
         """jobs=2 batched campaign against one store dir: consistent
         results, no write errors (concurrent-writer safety end to end)."""
         workload = get_workload("atax")
-        baseline = SimulationCampaign(scale=8.0, batch=False).run(workload)
+        baseline = SimulationCampaign(
+            scale=8.0, engine="reference"
+        ).run(workload)
         # The baseline warmed the in-process memos on the shared trace
         # objects; drop them so the batched run must go through the
         # store (fresh-process semantics).
@@ -272,7 +347,7 @@ class TestMemoStore:
                 del trace._memo[key]
         before = store_status()
         shared = SimulationCampaign(
-            scale=8.0, jobs=2, batch=True, memo_dir=tmp_path
+            scale=8.0, jobs=2, memo_dir=tmp_path
         ).run(workload)
         assert [canonical(r.result) for r in shared.rows] == [
             canonical(r.result) for r in baseline.rows
@@ -289,7 +364,10 @@ class TestMemoStore:
 
 class TestMemoBounds:
     def test_memo_cap_env_bounds_side_tables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MEMO_CAP", "1")
+        monkeypatch.setattr(
+            simulator_mod, "_MEMO_CAPS",
+            {"streams": 1, "classify": 1, "events": 1},
+        )
         trace = small_trace("atax", scale=8.0)
         for cfg in arch_variants()[:3]:
             NMCSimulator(cfg, engine="fast").run(

@@ -4,13 +4,17 @@ The fast (two-phase, vectorized) engine must produce *bit-identical*
 :class:`SimulationResult` values to the per-access reference engine —
 across workloads, cache geometries (any associativity), core models,
 campaign execution modes, the geometry memos, the compiled phase-B
-kernel and tracing.  These tests enforce that contract, plus golden and
+kernel and its heapq fallback, and tracing.  These tests enforce that contract, plus golden and
 property tests of the vectorized LRU classifier against two independent
 oracles: the step-wise :class:`Cache` walk and a stack-distance +
 ordered-dict reconstruction.
 """
 
+import hashlib
 import json
+import logging
+import os
+import stat
 from collections import OrderedDict, defaultdict
 
 import numpy as np
@@ -30,7 +34,8 @@ from repro.nmcsim import (
     resolve_engine,
     simulation_memo_summary,
 )
-from repro.nmcsim._native import contend_packed, get_kernel
+from repro.nmcsim import _native as native_mod
+from repro.nmcsim._native import get_kernel
 from repro.obs import activate_tracing, metrics, reset_tracing
 
 WORKLOADS = [
@@ -362,6 +367,15 @@ class TestEngineEquivalence:
         assert results["hmc"] != results["ddr4-channel"]
 
 
+class TestEngineEquivalenceHeapq(TestEngineEquivalence):
+    """The same matrix with phase B on the heapq fallback loop (the only
+    phase-B path on a host without a C compiler)."""
+
+    @pytest.fixture(autouse=True)
+    def _phase_b(self, heapq_phase_b):
+        assert jit_status() == {"backend": None}
+
+
 # -------------------------------------------------- campaign equivalence
 
 ATAX_CONFIGS = [
@@ -449,55 +463,21 @@ class TestClassificationMemo:
         serial = run_campaign("fast", 1)
         assert_rows_equal(run_campaign("fast", 2), serial)
 
-    def test_memo_disabled_results_unchanged(self, monkeypatch):
-        trace = small_trace("bfs")
-        cfg = default_nmc_config()
-        baseline = NMCSimulator(cfg, engine="reference").run(trace)
-        monkeypatch.setenv("REPRO_SIM_MEMO", "0")
-        m = metrics()
-        before = {name: m.count(name) for name in
-                  ("sim.memo.classify.hits", "sim.memo.classify.misses")}
-        sim = NMCSimulator(cfg, engine="fast")
-        for _ in range(2):
-            assert result_dict(sim.run(trace)) == result_dict(baseline)
-        for name, count in before.items():
-            assert m.count(name) == count, name
-
 
 # ------------------------------------------------- compiled phase-B kernel
 
 
 class TestJITEquivalence:
-    def test_jit_status_shape(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_JIT", raising=False)
+    def test_jit_status_shape(self):
         status = jit_status()
-        assert status == {"requested": False, "backend": None}
+        assert status == {"backend": get_kernel()[1]}
+        assert status["backend"] in ("cc", None)
 
-    def test_packed_kernel_python_semantics_match_reference(self, monkeypatch):
-        # Run the packed kernel (the numba/C compile target) as plain
-        # Python: validates the batched-replay semantics even on hosts
-        # with no compiler toolchain.
-        from repro.nmcsim import simulator as sim_mod
-
-        monkeypatch.setattr(sim_mod, "_active_kernel", lambda: contend_packed)
-        for replace in (
-            {},
-            {"l1_lines": 64, "l1_ways": 4},
-            {"pe_type": "ooo", "issue_width": 2, "mshr_entries": 8},
-            {"pe_type": "ooo", "issue_width": 2, "mshr_entries": 1},
-        ):
-            cfg = default_nmc_config().replace(**replace)
-            trace = small_trace("chol")
-            fast = NMCSimulator(cfg, engine="fast").run(trace)
-            ref = NMCSimulator(cfg, engine="reference").run(trace)
-            assert result_dict(fast) == result_dict(ref), replace
-
-    def test_compiled_kernel_matches_reference(self, monkeypatch):
+    def test_compiled_kernel_matches_reference(self):
         kernel, backend = get_kernel()
         if kernel is None:
-            pytest.skip("no compiled backend (numba or C compiler) available")
-        monkeypatch.setenv("REPRO_SIM_JIT", "1")
-        assert jit_status() == {"requested": True, "backend": backend}
+            pytest.skip("no C compiler available")
+        assert jit_status() == {"backend": backend}
         for replace in (
             {},
             {"l1_lines": 64, "l1_ways": 8},
@@ -509,6 +489,197 @@ class TestJITEquivalence:
                 fast = NMCSimulator(cfg, engine="fast").run(trace)
                 ref = NMCSimulator(cfg, engine="reference").run(trace)
                 assert result_dict(fast) == result_dict(ref), (name, replace)
+
+
+    def test_kernel_refuses_misread_arrays(self):
+        kernel, _ = get_kernel()
+        if kernel is None:
+            pytest.skip("no C compiler available")
+        cfg = default_nmc_config()
+        bundle = NMCSimulator(cfg, engine="fast")._phase_a(
+            small_trace("atax")
+        ).bundle
+        cols = [
+            getattr(bundle, name)
+            for name in ("off", "block", "vault", "bank", "wblock",
+                         "wvault", "wbank", "dnext", "t0", "tail")
+        ]
+        kwargs = dict(
+            ooo=False, mshrs=1,
+            n_banks=cfg.n_vaults * cfg.banks_per_vault,
+            n_vaults=cfg.n_vaults,
+        )
+        assert len(kernel(*cols, (1.0,) * 9, **kwargs)) == bundle.n_packed
+        narrow = list(cols)
+        narrow[1] = bundle.block.astype(np.int32)
+        with pytest.raises(TypeError):
+            kernel(*narrow, (1.0,) * 9, **kwargs)
+        strided = list(cols)
+        strided[7] = np.repeat(bundle.dnext, 2)[::2]
+        with pytest.raises(TypeError):
+            kernel(*strided, (1.0,) * 9, **kwargs)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.fixture
+def kernel_warnings(monkeypatch):
+    """Forget the resolved kernel (restored afterwards) and collect the
+    warnings its next resolution logs."""
+    monkeypatch.setattr(native_mod, "_RESOLVED", None)
+    handler = _Records()
+    native_mod.log.addHandler(handler)
+    yield handler.records
+    native_mod.log.removeHandler(handler)
+
+
+FALLBACK_ARCHES = {
+    "in-order": default_nmc_config(),
+    "ooo-mshr1": default_nmc_config().replace(
+        pe_type="ooo", issue_width=2, mshr_entries=1
+    ),
+    "ooo-mshr8": default_nmc_config().replace(
+        pe_type="ooo", issue_width=2, mshr_entries=8
+    ),
+    "hbm2": NMCConfig.from_backend("hbm2"),
+    "ddr4-channel": NMCConfig.from_backend("ddr4-channel"),
+}
+
+
+class TestKernelFallback:
+    """No usable C compiler: one warning, then the heapq loop."""
+
+    def test_no_compiler_falls_back_to_heapq_loop(
+        self, monkeypatch, kernel_warnings
+    ):
+        from repro.nmcsim import simulator as sim_mod
+
+        monkeypatch.setattr(native_mod.shutil, "which", lambda name: None)
+        heapq_runs = []
+        heapq_loop = sim_mod._contend_python_bundle
+
+        def spy(*args, **kwargs):
+            heapq_runs.append(1)
+            return heapq_loop(*args, **kwargs)
+
+        monkeypatch.setattr(sim_mod, "_contend_python_bundle", spy)
+        for label, cfg in FALLBACK_ARCHES.items():
+            for name in ("atax", "bfs"):
+                trace = small_trace(name)
+                fast = NMCSimulator(cfg, engine="fast").run(trace)
+                ref = NMCSimulator(cfg, engine="reference").run(trace)
+                assert result_dict(fast) == result_dict(ref), (label, name)
+        assert len(heapq_runs) == 2 * len(FALLBACK_ARCHES)
+        assert jit_status()["backend"] is None
+        assert len(kernel_warnings) == 1
+        assert "no C compiler" in kernel_warnings[0].getMessage()
+
+    def test_failing_compiler_warns_and_leaves_no_object(
+        self, monkeypatch, tmp_path, kernel_warnings
+    ):
+        # A compiler that writes a partial output file, then fails.
+        fake = tmp_path / "fake-cc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            'while [ $# -gt 0 ]; do\n'
+            '  if [ "$1" = "-o" ]; then shift; echo partial > "$1"; fi\n'
+            "  shift\n"
+            "done\n"
+            "exit 1\n"
+        )
+        fake.chmod(0o755)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_SIM_JIT_CACHE", str(cache))
+        monkeypatch.setattr(
+            native_mod.shutil, "which", lambda name: str(fake)
+        )
+        assert get_kernel() == (None, None)
+        assert jit_status() == {"backend": None}
+        assert len(kernel_warnings) == 1
+        assert "build failed" in kernel_warnings[0].getMessage()
+        assert not [p.name for p in cache.iterdir() if ".so" in p.name]
+        trace = small_trace("gemv")
+        cfg = default_nmc_config()
+        assert result_dict(NMCSimulator(cfg, engine="fast").run(trace)) == (
+            result_dict(NMCSimulator(cfg, engine="reference").run(trace))
+        )
+        assert len(kernel_warnings) == 1
+
+
+def so_name():
+    digest = hashlib.sha256(native_mod._C_SOURCE.encode()).hexdigest()[:16]
+    return f"contend-{digest}.so"
+
+
+@pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX ownership")
+class TestKernelCachePrivacy:
+    """Loading a shared object runs its code, so the kernel cache must
+    be this user's own: anything another user could plant is refused
+    with one warning and the heapq fallback."""
+
+    def assert_refused(self, kernel_warnings):
+        assert get_kernel() == (None, None)
+        assert jit_status() == {"backend": None}
+        assert len(kernel_warnings) == 1
+        assert "not private" in kernel_warnings[0].getMessage()
+        trace = small_trace("bfs")
+        cfg = default_nmc_config()
+        assert result_dict(NMCSimulator(cfg, engine="fast").run(trace)) == (
+            result_dict(NMCSimulator(cfg, engine="reference").run(trace))
+        )
+        assert len(kernel_warnings) == 1
+
+    def test_default_cache_is_per_user_and_private(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv("REPRO_SIM_JIT_CACHE", raising=False)
+        monkeypatch.setattr(
+            native_mod.tempfile, "gettempdir", lambda: str(tmp_path)
+        )
+        path = native_mod._cache_dir()
+        assert path == str(tmp_path / f"repro-simjit-{os.getuid()}")
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o700
+
+    def test_world_writable_cache_is_refused(
+        self, monkeypatch, tmp_path, kernel_warnings
+    ):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache.chmod(0o777)
+        monkeypatch.setenv("REPRO_SIM_JIT_CACHE", str(cache))
+        self.assert_refused(kernel_warnings)
+        assert list(cache.iterdir()) == []
+
+    def test_planted_writable_object_is_refused(
+        self, monkeypatch, tmp_path, kernel_warnings
+    ):
+        cache = tmp_path / "cache"
+        cache.mkdir(mode=0o700)
+        planted = cache / so_name()
+        planted.write_bytes(b"not a library")
+        planted.chmod(0o666)
+        monkeypatch.setenv("REPRO_SIM_JIT_CACHE", str(cache))
+        self.assert_refused(kernel_warnings)
+
+    @pytest.mark.skipif(
+        hasattr(os, "getuid") and os.getuid() != 0,
+        reason="planting a foreign-owned directory needs root",
+    )
+    def test_foreign_owned_cache_is_refused(
+        self, monkeypatch, tmp_path, kernel_warnings
+    ):
+        cache = tmp_path / "cache"
+        cache.mkdir(mode=0o700)
+        os.chown(cache, 4242, 4242)
+        monkeypatch.setenv("REPRO_SIM_JIT_CACHE", str(cache))
+        self.assert_refused(kernel_warnings)
 
 
 # -------------------------------------------------------- traced runs
