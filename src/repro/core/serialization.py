@@ -1,19 +1,21 @@
 """Saving and loading trained NAPEL models.
 
-Trained models are plain Python object graphs (forests of
-:class:`~repro.ml.tree.RegressionTree` nodes, numpy arrays), so standard
-pickling round-trips them exactly.  :func:`save_model` wraps the pickle
-with a format header so stale model files fail loudly instead of
-mispredicting silently.
+Trained models are plain Python object graphs (forests stored as packed
+:class:`~repro.ml.tree.NodeArrays`, numpy arrays), so standard pickling
+round-trips them exactly.  :func:`save_model` wraps the pickle with a
+format header so stale model files fail loudly instead of mispredicting
+silently.
 
-Format version 2 makes artifacts *self-describing*: the header embeds
-the model's full :class:`~repro.schema.FeatureSchema` (as plain JSON, so
-the column identity is inspectable without unpickling) plus its content
-hash and the package version.  :func:`load_model` verifies the header
-before trusting the payload, rejects v1 files (they carry no schema, so
-their column meaning cannot be checked) with an actionable message, and
-warns when the saving package version or the runtime feature schema
-differs from the current one.
+Artifacts are *self-describing*: the header embeds the model's full
+:class:`~repro.schema.FeatureSchema` (as plain JSON, so the column
+identity is inspectable without unpickling) plus its content hash and the
+package version.  Format 3 is format 2 with forests holding one packed
+node set instead of a list of tree objects.  :func:`load_model` verifies
+the header before trusting the payload, rejects v1 files (they carry no
+schema, so their column meaning cannot be checked) and v2 files (their
+forests pickle tree-node classes this version no longer defines) with an
+actionable retrain message, and warns when the saving package version or the
+runtime feature schema differs from the current one.
 """
 
 from __future__ import annotations
@@ -31,11 +33,19 @@ from ..schema import FeatureSchema, active_schema
 from .predictor import NapelModel
 
 _MAGIC = "napel-model"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+#: Older formats load_model refuses, with the reason it gives.
+_RETIRED_FORMATS = {
+    1: "which predates the feature schema and cannot be validated "
+       "against the current feature layout",
+    2: "whose forests store per-tree objects this version cannot "
+       "evaluate",
+}
+_RETRAIN = "retrain and re-save it with this version (`repro train ... -o <file>`)"
 
 
 def save_model(model: NapelModel, path: str | Path) -> None:
-    """Serialise a trained model (format v2: schema-embedding) to ``path``."""
+    """Serialise a trained model (format v3: schema-embedding) to ``path``."""
     if not isinstance(model, NapelModel):
         raise MLError(f"expected a NapelModel, got {type(model).__name__}")
     from .. import __version__
@@ -66,6 +76,14 @@ def load_model(path: str | Path) -> NapelModel:
     with path.open("rb") as fh:
         try:
             payload = pickle.load(fh)
+        except (AttributeError, ModuleNotFoundError) as exc:
+            # Raised by class lookup: the file pickles a class this
+            # release no longer has (format 2 forests hold tree nodes).
+            raise MLError(
+                f"{path} refers to code this version of repro no longer "
+                f"has ({type(exc).__name__}: {exc}), so it was saved in an "
+                f"older model format; {_RETRAIN}"
+            ) from exc
         except Exception as exc:
             raise MLError(
                 f"{path} is corrupt or truncated and cannot be unpickled "
@@ -74,12 +92,10 @@ def load_model(path: str | Path) -> NapelModel:
     if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
         raise MLError(f"{path} is not a NAPEL model file")
     fmt = payload.get("format")
-    if fmt == 1:
+    if fmt in _RETIRED_FORMATS:
         raise MLError(
-            f"{path} uses model format 1, which predates the feature "
-            "schema and cannot be validated against the current feature "
-            "layout; retrain and re-save it with this version "
-            "(`repro train ... -o <file>`)"
+            f"{path} uses model format {fmt}, {_RETIRED_FORMATS[fmt]}; "
+            f"{_RETRAIN}"
         )
     if fmt != _FORMAT_VERSION:
         raise MLError(

@@ -6,18 +6,21 @@ uniformly random threshold instead of the best one.  The extra
 randomisation trades a little bias for a large variance reduction and much
 cheaper split search — a natural ablation point for NAPEL's choice of
 plain random forests.
+
+It is the random forest with the random splitter: fitting, packing,
+prediction and importances are :class:`RandomForestRegressor`'s, and the
+fit runs serially.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..errors import MLError, NotFittedError
-from .tree import RegressionTree
+from .forest import RandomForestRegressor
 
 
-class ExtraTreesRegressor:
+class ExtraTreesRegressor(RandomForestRegressor):
     """Ensemble of random-threshold trees."""
+
+    _splitter = "random"
 
     def __init__(
         self,
@@ -28,65 +31,17 @@ class ExtraTreesRegressor:
         bootstrap: bool = False,
         random_state: int | None = None,
     ) -> None:
-        if n_estimators < 1:
-            raise MLError("n_estimators must be >= 1")
-        self.n_estimators = n_estimators
-        self.max_features = max_features
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.bootstrap = bootstrap
-        self.random_state = random_state
-        self.trees_: list[RegressionTree] = []
-        self.feature_importances_: np.ndarray | None = None
+        super().__init__(
+            n_estimators=n_estimators,
+            max_features=max_features,
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            bootstrap=bootstrap,
+            random_state=random_state,
+            jobs=1,
+        )
 
     def get_params(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "max_features": self.max_features,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "bootstrap": self.bootstrap,
-            "random_state": self.random_state,
-        }
-
-    def clone(self, **overrides) -> "ExtraTreesRegressor":
-        params = self.get_params()
-        params.update(overrides)
-        return ExtraTreesRegressor(**params)
-
-    def fit(self, X, y) -> "ExtraTreesRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim != 2 or len(X) != len(y):
-            raise MLError("X must be 2-D and aligned with y")
-        n = len(y)
-        if n == 0:
-            raise MLError("cannot fit on an empty dataset")
-        rng = np.random.default_rng(self.random_state)
-        self.trees_ = []
-        importances = np.zeros(X.shape[1])
-        for _ in range(self.n_estimators):
-            tree = RegressionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                splitter="random",
-                rng=np.random.default_rng(rng.integers(0, 2**63)),
-            )
-            sample = (
-                rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            )
-            tree.fit(X[sample], y[sample])
-            self.trees_.append(tree)
-            importances += tree.feature_importances_
-        self.feature_importances_ = importances / self.n_estimators
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        if not self.trees_:
-            raise NotFittedError("ExtraTreesRegressor is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        out = np.zeros(len(X))
-        for tree in self.trees_:
-            out += tree.predict(X)
-        return out / len(self.trees_)
+        params = super().get_params()
+        del params["jobs"]
+        return params

@@ -9,34 +9,47 @@ Tree fitting parallelizes over worker processes (``jobs``): every tree's
 RNG seed and bootstrap sample are pre-drawn from the forest RNG in tree
 order *before* dispatch, so serial and parallel fits consume the random
 stream identically and produce bit-identical forests.
+
+A fitted forest keeps no tree objects: its trees' node arrays are packed
+once into one :class:`~repro.ml.tree.NodeArrays` set with a root per
+tree.  Prediction and OOB aggregation run one traversal over all trees
+(:func:`~repro.ml.tree.apply_trees`) and sum the per-tree leaf values
+tree by tree, in the same order for any number of rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import MLError, NotFittedError
+from ..errors import MLError
 from ..parallel import map_jobs, resolve_jobs
-from .tree import RegressionTree
+from .tree import NodeArrays, RegressionTree, apply_trees, check_features
 
 
-def _fit_tree_chunk(job) -> list[RegressionTree]:
-    """Worker-side body: fit one chunk of pre-planned trees in order."""
+def _fit_tree_chunk(job) -> list[tuple[NodeArrays, np.ndarray]]:
+    """Worker-side body: fit one chunk of pre-planned trees in order,
+    returning each tree's nodes and feature importances."""
     X, y, params, plans = job
-    trees = []
+    fitted = []
     for seed, sample in plans:
-        tree = RegressionTree(
-            max_depth=params["max_depth"],
-            min_samples_leaf=params["min_samples_leaf"],
-            max_features=params["max_features"],
-            rng=np.random.default_rng(seed),
-        )
+        tree = RegressionTree(**params, rng=np.random.default_rng(seed))
         if sample is None:
             tree.fit(X, y)
         else:
             tree.fit(X[sample], y[sample])
-        trees.append(tree)
-    return trees
+        fitted.append((tree.nodes_, tree.feature_importances_))
+    return fitted
+
+
+def _sum_over_trees(per_tree: np.ndarray) -> np.ndarray:
+    """Column sums of an ``(n_trees, n_rows)`` matrix, added tree by tree.
+
+    ``ndarray.sum(axis=0)`` adds a single column pairwise but wider
+    matrices sequentially, so a row predicted alone could differ in the
+    last bit from the same row inside a batch; the running sum has one
+    order for every row count.
+    """
+    return np.cumsum(per_tree, axis=0)[-1]
 
 
 class RandomForestRegressor:
@@ -61,6 +74,9 @@ class RandomForestRegressor:
         bit-identical.
     """
 
+    #: Split rule of the base trees (see :class:`RegressionTree`).
+    _splitter = "best"
+
     def __init__(
         self,
         n_estimators: int = 100,
@@ -80,7 +96,9 @@ class RandomForestRegressor:
         self.bootstrap = bootstrap
         self.random_state = random_state
         self.jobs = jobs
-        self.trees_: list[RegressionTree] = []
+        self.nodes_: NodeArrays | None = None
+        self.roots_: np.ndarray | None = None
+        self.n_features_: int | None = None
         self.oob_prediction_: np.ndarray | None = None
         self.feature_importances_: np.ndarray | None = None
 
@@ -99,7 +117,7 @@ class RandomForestRegressor:
     def clone(self, **overrides) -> "RandomForestRegressor":
         params = self.get_params()
         params.update(overrides)
-        return RandomForestRegressor(**params)
+        return type(self)(**params)
 
     def fit(self, X, y) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -118,10 +136,14 @@ class RandomForestRegressor:
             seed = int(rng.integers(0, 2**63))
             sample = rng.integers(0, n, size=n) if self.bootstrap else None
             plans.append((seed, sample))
-        self.trees_ = self._fit_trees(X, y, plans)
+        fitted = self._fit_trees(X, y, plans)
+        self.nodes_, self.roots_ = NodeArrays.pack(
+            [nodes for nodes, _ in fitted]
+        )
+        self.n_features_ = X.shape[1]
         importances = np.zeros(X.shape[1])
-        for tree in self.trees_:
-            importances += tree.feature_importances_
+        for _, tree_importances in fitted:
+            importances += tree_importances
         self.feature_importances_ = importances / self.n_estimators
         self._aggregate_oob(X, [sample for _, sample in plans])
         return self
@@ -129,18 +151,19 @@ class RandomForestRegressor:
     def _fit_trees(
         self, X: np.ndarray, y: np.ndarray,
         plans: list[tuple[int, np.ndarray | None]],
-    ) -> list[RegressionTree]:
+    ) -> list[tuple[NodeArrays, np.ndarray]]:
         jobs_n = resolve_jobs(self.jobs)
         params = {
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
             "max_features": self.max_features,
+            "splitter": self._splitter,
         }
         if jobs_n <= 1 or len(plans) <= 1:
             return _fit_tree_chunk((X, y, params, plans))
         # One contiguous chunk per worker keeps X/y pickling to jobs_n
-        # round trips; chunk order is restored by map_jobs, so the tree
-        # list comes back in plan order.
+        # round trips; chunk order is restored by map_jobs, so the trees
+        # come back in plan order.
         jobs_n = min(jobs_n, len(plans))
         bounds = np.linspace(0, len(plans), jobs_n + 1).astype(int)
         chunks = [
@@ -153,17 +176,17 @@ class RandomForestRegressor:
 
     def _tree_predictions(self, X: np.ndarray) -> np.ndarray:
         """(n_trees, n_samples) matrix of per-tree predictions."""
-        return np.stack([tree.predict(X) for tree in self.trees_])
+        return self.nodes_.value[apply_trees(X, self.nodes_, self.roots_)]
 
     def _aggregate_oob(
         self, X: np.ndarray, samples: list[np.ndarray | None]
     ) -> None:
-        """Per-sample OOB prediction from the stacked per-tree outputs."""
+        """Per-sample OOB prediction from the per-tree outputs."""
         if not self.bootstrap:
             self.oob_prediction_ = None
             return
         n = len(X)
-        oob_mask = np.ones((len(self.trees_), n), dtype=bool)
+        oob_mask = np.ones((len(self.roots_), n), dtype=bool)
         for t, sample in enumerate(samples):
             oob_mask[t, np.unique(sample)] = False
         if not oob_mask.any():
@@ -171,17 +194,15 @@ class RandomForestRegressor:
             return
         preds = self._tree_predictions(X)
         oob_count = oob_mask.sum(axis=0)
-        oob_sum = np.where(oob_mask, preds, 0.0).sum(axis=0)
+        oob_sum = _sum_over_trees(np.where(oob_mask, preds, 0.0))
         oob = np.full(n, np.nan)
         seen = oob_count > 0
         oob[seen] = oob_sum[seen] / oob_count[seen]
         self.oob_prediction_ = oob
 
     def predict(self, X) -> np.ndarray:
-        if not self.trees_:
-            raise NotFittedError("RandomForestRegressor is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        return self._tree_predictions(X).mean(axis=0)
+        X = check_features(X, self.n_features_, type(self).__name__)
+        return _sum_over_trees(self._tree_predictions(X)) / len(self.roots_)
 
     def oob_error(self, y) -> float:
         """Out-of-bag RMSE against the training targets.

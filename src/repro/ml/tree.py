@@ -6,34 +6,84 @@ The split search is vectorised per feature with prefix sums, so fitting is
 O(features * n log n) per node.  ``max_features`` enables the random
 feature subsampling that random forests rely on.
 
-Prediction over large matrices is vectorised too: rows traverse the tree
-lock-stepped level by level (one numpy gather per level) instead of one
-Python walk per row, with bit-identical results — the batch-predict path
-the prediction server's microbatcher leans on.
+A fitted tree is five flat pre-order arrays (:class:`NodeArrays`), and a
+forest packs its trees' arrays into one such set.  :func:`apply_trees` is
+the one traversal for both: every row descends every requested tree in
+lock step, one numpy gather per level, so a row's result never depends on
+how many rows share the call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import MLError, NotFittedError
 
 
-@dataclass
-class _Node:
-    """One tree node: either a split (feature/threshold) or a leaf value."""
+class NodeArrays(NamedTuple):
+    """Flat pre-order nodes of one tree, or of a packed forest.
 
-    value: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: "int" = -1   #: child indices into the node array (-1 = leaf)
-    right: "int" = -1
+    A row at split node ``i`` moves to ``left[i]`` when
+    ``x[feature[i]] <= threshold[i]`` and to ``right[i]`` otherwise.  A
+    leaf points to itself on both sides (with feature 0), so a row that
+    reached its leaf stays there.  ``value[i]`` is the node's mean target.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left < 0
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def pack(cls, parts: list["NodeArrays"]) -> tuple["NodeArrays", np.ndarray]:
+        """Concatenate node sets, offsetting child ids; also returns the
+        root id of every part."""
+        sizes = np.array([len(p.value) for p in parts], dtype=np.intp)
+        roots = np.cumsum(sizes) - sizes
+        return cls(
+            np.concatenate([p.feature for p in parts]),
+            np.concatenate([p.threshold for p in parts]),
+            np.concatenate([p.left + r for p, r in zip(parts, roots)]),
+            np.concatenate([p.right + r for p, r in zip(parts, roots)]),
+            np.concatenate([p.value for p in parts]),
+        ), roots
+
+
+def apply_trees(
+    X: np.ndarray, nodes: NodeArrays, roots: np.ndarray
+) -> np.ndarray:
+    """Leaf id reached by every row from every root, as an
+    ``(n_roots, n_rows)`` matrix.
+
+    All rows walk all roots' trees together, one gather per level, until
+    no row moves.  ``X`` must be a checked float64 matrix (see
+    :func:`check_features`).
+    """
+    n_rows, n_cols = X.shape
+    flat = X.reshape(-1)
+    offsets = np.arange(n_rows, dtype=np.intp) * n_cols
+    ids = np.repeat(np.asarray(roots, dtype=np.intp)[:, None], n_rows, axis=1)
+    while True:
+        go_left = flat[offsets + nodes.feature[ids]] <= nodes.threshold[ids]
+        moved = np.where(go_left, nodes.left[ids], nodes.right[ids])
+        if np.array_equal(moved, ids):
+            return ids
+        ids = moved
+
+
+def check_features(X, n_features: int | None, owner: str) -> np.ndarray:
+    """``X`` as a float64 matrix with the fitted feature count."""
+    if n_features is None:
+        raise NotFittedError(f"{owner} is not fitted")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise MLError(
+            f"X must be 2-D with {n_features} features, got {X.shape}"
+        )
+    return X
 
 
 def _resolve_max_features(max_features, n_features: int) -> int:
@@ -88,7 +138,7 @@ class RegressionTree:
         self.max_features = max_features
         self.splitter = splitter
         self.rng = rng or np.random.default_rng()
-        self._nodes: list[_Node] = []
+        self.nodes_: NodeArrays | None = None
         self.n_features_: int | None = None
         self.feature_importances_: np.ndarray | None = None
 
@@ -103,21 +153,33 @@ class RegressionTree:
             raise MLError("X and y length mismatch")
         if len(y) == 0:
             raise MLError("cannot fit on an empty dataset")
-        self.n_features_ = X.shape[1]
-        self._k = _resolve_max_features(self.max_features, self.n_features_)
-        self._nodes = []
-        self._importance = np.zeros(self.n_features_)
-        self._build(X, y, np.arange(len(y)), depth=0)
+        n_features = X.shape[1]
+        self._k = _resolve_max_features(self.max_features, n_features)
+        self._importance = np.zeros(n_features)
+        self._depth = 0
+        # One [feature, threshold, left, right, value] row per node, in
+        # pre-order; leaves keep feature 0 and point to themselves.
+        table: list[list] = []
+        self.n_features_ = n_features
+        self._build(X, y, np.arange(len(y)), 0, table)
+        feature, threshold, left, right, value = zip(*table)
+        self.nodes_ = NodeArrays(
+            np.array(feature, dtype=np.intp),
+            np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.intp),
+            np.array(right, dtype=np.intp),
+            np.array(value, dtype=np.float64),
+        )
         total = self._importance.sum()
         self.feature_importances_ = (
             self._importance / total if total > 0 else self._importance
         )
         return self
 
-    def _build(self, X, y, idx: np.ndarray, depth: int) -> int:
-        node_id = len(self._nodes)
-        value = float(y[idx].mean())
-        self._nodes.append(_Node(value=value))
+    def _build(self, X, y, idx: np.ndarray, depth: int, table: list) -> int:
+        node_id = len(table)
+        table.append([0, 0.0, node_id, node_id, float(y[idx].mean())])
+        self._depth = max(self._depth, depth)
         n = len(idx)
         if (
             n < self.min_samples_split
@@ -133,11 +195,9 @@ class RegressionTree:
         left_idx = idx[mask]
         right_idx = idx[~mask]
         self._importance[feature] += gain
-        node = self._nodes[node_id]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X, y, left_idx, depth + 1)
-        node.right = self._build(X, y, right_idx, depth + 1)
+        left = self._build(X, y, left_idx, depth + 1, table)
+        right = self._build(X, y, right_idx, depth + 1, table)
+        table[node_id][:4] = feature, threshold, left, right
         return node_id
 
     def _best_split(
@@ -230,115 +290,18 @@ class RegressionTree:
 
     # ----------------------------------------------------------- predict
 
-    #: Matrices with at least this many rows take the level-wise
-    #: vectorised traversal; below it, per-row Python traversal is
-    #: cheaper than the numpy per-level call overhead.
-    _VECTORIZE_MIN_ROWS = 16
-
-    def __getstate__(self) -> dict:
-        # The compact node arrays are a derived prediction cache;
-        # persisting them would bloat pickled artifacts for no benefit.
-        state = dict(self.__dict__)
-        state.pop("_arrays", None)
-        return state
-
-    def _compact(self):
-        """Node fields as flat arrays (lazily built, cached, unpickled).
-
-        Leaves are made self-referential (``left == right == self``) and
-        given feature 0, so the level-wise traversal can gather blindly:
-        a row already at a leaf just stays there.
-        """
-        arrays = self.__dict__.get("_arrays")
-        if arrays is None:
-            nodes = self._nodes
-            self_idx = np.arange(len(nodes), dtype=np.int64)
-            left = np.array([n.left for n in nodes], dtype=np.int64)
-            right = np.array([n.right for n in nodes], dtype=np.int64)
-            leaf = left < 0
-            arrays = (
-                np.where(
-                    leaf, 0,
-                    np.array([n.feature for n in nodes], dtype=np.int64),
-                ),
-                np.array([n.threshold for n in nodes]),
-                np.where(leaf, self_idx, left),
-                np.where(leaf, self_idx, right),
-                np.array([n.value for n in nodes]),
-                leaf,
-            )
-            self.__dict__["_arrays"] = arrays
-        return arrays
-
-    def _apply_batch(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index per row, one numpy gather per tree level.
-
-        Bit-identical to the per-row traversal: every row takes the same
-        ``x <= threshold`` branches, just lock-stepped level by level
-        across the whole matrix instead of row by row in Python.
-        """
-        feature, threshold, left, right, _value, leaf = self._compact()
-        idx = np.zeros(len(X), dtype=np.int64)
-        rows = np.arange(len(X))
-        while not leaf[idx].all():
-            go_left = X[rows, feature[idx]] <= threshold[idx]
-            idx = np.where(go_left, left[idx], right[idx])
-        return idx
+    def apply(self, X) -> np.ndarray:
+        """Leaf id reached by every row (used by the model tree)."""
+        X = check_features(X, self.n_features_, "RegressionTree")
+        return apply_trees(X, self.nodes_, [0])[0]
 
     def predict(self, X) -> np.ndarray:
-        if self.n_features_ is None:
-            raise NotFittedError("RegressionTree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise MLError(
-                f"X must be 2-D with {self.n_features_} features, got {X.shape}"
-            )
-        if len(X) >= self._VECTORIZE_MIN_ROWS:
-            _f, _t, _l, _r, value, _leaf = self._compact()
-            return value[self._apply_batch(X)]
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            node = self._nodes[0]
-            while not node.is_leaf:
-                node = self._nodes[
-                    node.left if row[node.feature] <= node.threshold else node.right
-                ]
-            out[i] = node.value
-        return out
-
-    def apply(self, X) -> np.ndarray:
-        """Leaf index reached by every row (used by the model tree)."""
-        if self.n_features_ is None:
-            raise NotFittedError("RegressionTree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if len(X) >= self._VECTORIZE_MIN_ROWS:
-            return self._apply_batch(X)
-        out = np.empty(len(X), dtype=np.int64)
-        for i, row in enumerate(X):
-            node_id = 0
-            node = self._nodes[0]
-            while not node.is_leaf:
-                node_id = (
-                    node.left if row[node.feature] <= node.threshold else node.right
-                )
-                node = self._nodes[node_id]
-            out[i] = node_id
-        return out
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self._nodes)
+        leaves = self.apply(X)
+        return self.nodes_.value[leaves]
 
     @property
     def depth(self) -> int:
         """Height of the fitted tree (0 for a single leaf)."""
-        if not self._nodes:
+        if self.nodes_ is None:
             raise NotFittedError("RegressionTree is not fitted")
-
-        def _depth(node_id: int) -> int:
-            node = self._nodes[node_id]
-            if node.is_leaf:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))
-
-        return _depth(0)
+        return self._depth

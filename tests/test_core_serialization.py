@@ -72,17 +72,39 @@ class TestSaveLoad:
         with pytest.raises(MLError, match="format"):
             load_model(path)
 
+    @pytest.mark.parametrize("fmt", [1, 2])
     def test_rejects_v1_format_with_retrain_advice(
-        self, tmp_path, trained_model
+        self, tmp_path, trained_model, fmt
     ):
         trained, _ = trained_model
-        path = tmp_path / "v1.pkl"
+        path = tmp_path / f"v{fmt}.pkl"
         with path.open("wb") as fh:
             pickle.dump(
-                {"magic": "napel-model", "format": 1, "model": trained.model},
+                {"magic": "napel-model", "format": fmt, "model": trained.model},
                 fh,
             )
-        with pytest.raises(MLError, match="format 1") as err:
+        with pytest.raises(MLError, match=f"format {fmt}") as err:
+            load_model(path)
+        assert "retrain" in str(err.value)
+
+    def test_rejects_pickled_retired_class_with_retrain_advice(
+        self, tmp_path, monkeypatch
+    ):
+        """A format-2 forest pickles tree-node objects whose class this
+        release no longer has; loading must say to retrain, not crash."""
+        import repro.ml.tree as tree_mod
+
+        class _Node:
+            pass
+
+        _Node.__module__, _Node.__qualname__ = tree_mod.__name__, "_Node"
+        monkeypatch.setattr(tree_mod, "_Node", _Node, raising=False)
+        path = tmp_path / "v2.pkl"
+        path.write_bytes(pickle.dumps(
+            {"magic": "napel-model", "format": 2, "model": _Node()}
+        ))
+        monkeypatch.delattr(tree_mod, "_Node")
+        with pytest.raises(MLError, match="older model format") as err:
             load_model(path)
         assert "retrain" in str(err.value)
 

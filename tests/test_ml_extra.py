@@ -38,10 +38,12 @@ class TestRandomSplitter:
         tree = RegressionTree(
             splitter="random", rng=np.random.default_rng(1)
         ).fit(X, y)
-        for node in tree._nodes:
-            if not node.is_leaf:
-                col = X[:, node.feature]
-                assert col.min() <= node.threshold <= col.max()
+        nodes = tree.nodes_
+        splits = np.flatnonzero(nodes.left != np.arange(len(nodes.left)))
+        assert len(splits) > 0
+        for i in splits:
+            col = X[:, nodes.feature[i]]
+            assert col.min() <= nodes.threshold[i] <= col.max()
 
 
 class TestExtraTrees:

@@ -1,5 +1,7 @@
 """Tests for the CART tree and random forest (repro.ml.tree / .forest)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ class TestRegressionTree:
     def test_single_leaf_for_constant_target(self):
         X = np.random.default_rng(0).random((50, 3))
         tree = RegressionTree().fit(X, np.full(50, 7.0))
-        assert tree.n_nodes == 1
+        assert len(tree.nodes_.value) == 1
         assert (tree.predict(X) == 7.0).all()
 
     def test_max_depth_respected(self):
@@ -60,6 +62,8 @@ class TestRegressionTree:
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
             RegressionTree().predict(np.zeros((1, 3)))
+        with pytest.raises(NotFittedError):
+            RegressionTree().apply(np.zeros((1, 3)))
 
     def test_feature_count_checked(self):
         X, y = step_data()
@@ -72,14 +76,12 @@ class TestRegressionTree:
             RegressionTree().fit(np.zeros((0, 3)), np.zeros(0))
 
     def test_vectorized_batch_matches_per_row_walk(self):
-        """The level-wise lock-stepped batch traversal (used for >= 16
-        rows) must be bit-identical to the scalar per-row walk — it is
-        what makes served batch predictions equal single-row ones."""
-        import pickle
-
+        """A row's prediction and leaf are the same whether it is walked
+        alone or inside a 400-row batch, and survive a pickle round trip
+        — what makes served batch predictions equal single-row ones."""
         X, y = smooth_data(400)
         tree = RegressionTree(max_depth=10).fit(X, y)
-        batch = tree.predict(X)  # vectorized path (>= 16 rows)
+        batch = tree.predict(X)
         scalar = np.array(
             [tree.predict(row[np.newaxis, :])[0] for row in X]
         )
@@ -89,11 +91,16 @@ class TestRegressionTree:
             [tree.apply(row[np.newaxis, :])[0] for row in X]
         )
         assert np.array_equal(leaves_batch, leaves_scalar)
-        # The compiled node arrays are a runtime cache and must not be
-        # pickled into artifacts (the clone rebuilds them on demand).
         clone = pickle.loads(pickle.dumps(tree))
-        assert "_arrays" not in clone.__dict__
         assert np.array_equal(clone.predict(X), batch)
+
+    def test_apply_rejects_wrong_width(self):
+        X, y = step_data()
+        tree = RegressionTree().fit(X, y)
+        with pytest.raises(MLError, match="5 features"):
+            tree.apply(np.hstack([X, np.zeros((len(X), 1))]))
+        with pytest.raises(MLError, match="5 features"):
+            tree.apply(X[:, :2])
 
     def test_feature_importances_identify_signal(self):
         X, y = step_data(400)
@@ -176,6 +183,32 @@ class TestRandomForest:
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
             RandomForestRegressor().predict(np.zeros((1, 3)))
+
+    def test_feature_count_checked(self):
+        X, y = smooth_data(60)
+        forest = RandomForestRegressor(n_estimators=3, random_state=0).fit(X, y)
+        with pytest.raises(MLError, match="8 features"):
+            forest.predict(np.zeros((2, 9)))
+
+    def test_single_row_equals_its_batch_value(self):
+        """The tree sum has one order for any row count, so a row predicted
+        alone is bit-identical to the same row inside a batch."""
+        X, y = smooth_data(200)
+        forest = RandomForestRegressor(n_estimators=60, random_state=4).fit(
+            X, y
+        )
+        Xt = np.random.default_rng(9).random((50, 8))
+        batch = forest.predict(Xt)
+        for i in range(len(Xt)):
+            assert forest.predict(Xt[i:i + 1])[0] == batch[i]
+
+    def test_fitted_forest_holds_packed_nodes_only(self):
+        X, y = smooth_data(80)
+        forest = RandomForestRegressor(n_estimators=4, random_state=0).fit(X, y)
+        assert len(forest.roots_) == 4
+        assert forest.roots_[0] == 0
+        # Pickle names the class of every object it stores.
+        assert b"RegressionTree" not in pickle.dumps(forest)
 
     def test_invalid_n_estimators(self):
         with pytest.raises(MLError):

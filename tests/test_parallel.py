@@ -15,6 +15,7 @@ from repro import SimulationCampaign
 from repro.core import evaluate_loocv
 from repro.errors import ParallelError
 from repro.ml import RandomForestRegressor, grid_search
+from repro.ml.tree import apply_trees
 from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
@@ -195,8 +196,16 @@ class TestForestParallel:
         forest = RandomForestRegressor(n_estimators=8, random_state=1).fit(
             X, y
         )
-        stacked = np.stack([t.predict(Xt) for t in forest.trees_])
-        assert np.array_equal(forest.predict(Xt), stacked.mean(axis=0))
+        # Each tree walked on its own, then averaged tree by tree in order.
+        nodes = forest.nodes_
+        per_tree = [
+            nodes.value[apply_trees(Xt, nodes, [root])[0]]
+            for root in forest.roots_
+        ]
+        total = np.zeros(len(Xt))
+        for values in per_tree:
+            total += values
+        assert np.array_equal(forest.predict(Xt), total / len(per_tree))
 
     def test_jobs_survives_clone(self):
         forest = RandomForestRegressor(jobs=4)

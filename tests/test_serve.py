@@ -268,39 +268,67 @@ class TestPredictErrors:
 # ------------------------------------------------------- shutdown
 
 
+def _race_single_rows(port: int, rows: list) -> list[dict]:
+    """Send one single-row request per row, all released at once from
+    their own keep-alive connections; responses come back in row order."""
+    barrier = threading.Barrier(len(rows), timeout=10)
+    docs: list = [None] * len(rows)
+    errors: list[BaseException] = []
+
+    def worker(i: int) -> None:
+        try:
+            with ServeClient(port=port) as c:
+                c.healthz()  # open the connection before racing
+                barrier.wait()
+                docs[i] = c.predict([rows[i]])
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=worker, args=(i,)) for i in range(len(rows))
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not errors
+    assert not any(t.is_alive() for t in threads)
+    return docs
+
+
 class TestServerLifecycle:
     def test_concurrent_requests_coalesce(self, artifact):
         with ServerThread(
             {"default": str(artifact.path)}, batch_window_ms=250.0
         ) as srv:
-            n = 4
-            barrier = threading.Barrier(n, timeout=10)
-            lock = threading.Lock()
-            sizes: list[int] = []
-            errors: list[BaseException] = []
+            docs = _race_single_rows(srv.port, [_row(artifact)] * 4)
+        # All four raced into one 250 ms window; at minimum the
+        # slowest pair must have shared a matrix call.
+        assert max(doc["batched_rows"] for doc in docs) >= 2
 
-            def worker() -> None:
-                try:
-                    with ServeClient(port=srv.port) as c:
-                        c.healthz()  # open the connection before racing
-                        barrier.wait()
-                        doc = c.predict([_row(artifact)])
-                    with lock:
-                        sizes.append(doc["batched_rows"])
-                except BaseException as exc:  # noqa: BLE001
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=worker) for _ in range(n)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not errors
-            # All four raced into one 250 ms window; at minimum the
-            # slowest pair must have shared a matrix call.
-            assert max(sizes) >= 2
+    def test_coalesced_responses_equal_single_row_predictions(
+        self, artifact, tmp_path
+    ):
+        # Sixty trees: enough that a tree sum whose order depended on
+        # the batch size would change the last bit of most rows.
+        model = NapelTrainer(n_estimators=60, tune=False).train(
+            artifact.training
+        ).model
+        path = tmp_path / "model60.pkl"
+        save_model(model, path)
+        X = artifact.training.X()
+        with ServerThread(
+            {"default": str(path)}, batch_window_ms=250.0
+        ) as srv:
+            docs = _race_single_rows(
+                srv.port, [_row(artifact, i) for i in range(len(X))]
+            )
+        assert max(doc["batched_rows"] for doc in docs) >= 2
+        for i, doc in enumerate(docs):
+            ipc, epi = model.predict_labels(X[i:i + 1])
+            p = doc["predictions"][0]
+            assert p["ipc_per_pe"] == float(ipc[0]), i
+            assert p["energy_per_instruction_j"] == float(epi[0]), i
 
     def test_hot_reload_under_live_traffic(self, artifact):
         with ServerThread(
