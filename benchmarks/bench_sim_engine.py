@@ -1,17 +1,18 @@
-"""Simulation-engine speedup: fast (two-phase) vs reference (per-access).
+"""Simulator speedup: the two-phase simulator ("fast") vs its per-access
+oracle :func:`repro.nmcsim.simulate_reference` ("reference").
 
-Times both engines on the Table 2 test inputs of all twelve applications
+Times both on the Table 2 test inputs of all twelve applications
 — the trace sizes a DoE campaign actually simulates — and records the
 per-workload and aggregate wall-clock speedup.  Results are verified
 bit-identical while being timed, so the record can never show a speedup
 bought with accuracy.
 
 Measurement protocol: one untimed warm-up run primes the code paths and
-the fast engine's geometry memos (the campaign steady state this
+the simulator's geometry memos (the campaign steady state this
 benchmark models — DoE points re-simulate the same traces), then each
-engine takes the best of ``reps`` timed runs (minimum over repetitions
-is the standard estimator for noisy single-core hosts).  The fast
-engine's per-phase split (classify vs contend) is recorded for the best
+path takes the best of ``reps`` timed runs (minimum over repetitions
+is the standard estimator for noisy single-core hosts).  The
+simulator's per-phase split (classify vs contend) is recorded for the best
 run, so a future regression is attributable to the phase that caused it.
 
 Phase B runs the compiled C kernel whenever the system C compiler
@@ -36,7 +37,7 @@ from _bench_utils import emit, emit_record
 
 from repro import get_workload
 from repro.core.reporting import format_table
-from repro.nmcsim import NMCSimulator, jit_status
+from repro.nmcsim import NMCSimulator, jit_status, simulate_reference
 from repro.obs import metrics
 
 WORKLOADS = (
@@ -62,7 +63,7 @@ def _timer_total(name):
     return timer.get("total_s", 0.0)
 
 
-def _best_of(simulator, trace, name, reps, *, phases=False):
+def _best_of(simulate, trace, name, reps, *, phases=False):
     """Best-of-reps wall time (+ the best run's phase split, if asked)."""
     best = float("inf")
     result = None
@@ -72,7 +73,7 @@ def _best_of(simulator, trace, name, reps, *, phases=False):
             classify0 = _timer_total("phase.simulate.classify")
             contend0 = _timer_total("phase.simulate.contend")
         start = time.perf_counter()
-        result = simulator.run(trace, workload=name, parameters={})
+        result = simulate(trace, workload=name, parameters={})
         elapsed = time.perf_counter() - start
         if elapsed < best:
             best = elapsed
@@ -94,13 +95,12 @@ def test_sim_engine_speedup():
     for name in WORKLOADS:
         workload = get_workload(name)
         trace = workload.generate(workload.test_config(), scale=SCALE, seed=7)
-        fast_sim = NMCSimulator(engine="fast")
-        ref_sim = NMCSimulator(engine="reference")
-        fast_sim.run(trace, workload=name, parameters={})  # warm-up
+        fast_run = NMCSimulator().run
+        fast_run(trace, workload=name, parameters={})  # warm-up
         t_fast, r_fast, fast_phases = _best_of(
-            fast_sim, trace, name, REPS, phases=True
+            fast_run, trace, name, REPS, phases=True
         )
-        t_ref, r_ref, _ = _best_of(ref_sim, trace, name, REPS)
+        t_ref, r_ref, _ = _best_of(simulate_reference, trace, name, REPS)
         # Equivalence contract, checked on the exact runs being timed.
         assert _canonical(r_fast) == _canonical(r_ref), name
         per_workload[name] = {
@@ -141,7 +141,7 @@ def test_sim_engine_speedup():
         ["workload", "instrs", "miss", "reference (s)", "fast (s)",
          "classify (s)", "contend (s)", "speedup"],
         rows,
-        title=f"Simulation engines, scale={SCALE}, best of {REPS}, "
+        title=f"Simulator vs per-access oracle, scale={SCALE}, best of {REPS}, "
               f"phase-B backend={backend} "
               "(results verified bit-identical per run)",
     ))
@@ -178,6 +178,6 @@ def test_sim_engine_speedup():
             else MIN_AGGREGATE_SPEEDUP_NOJIT
         )
         assert aggregate >= floor, (
-            f"fast engine aggregate speedup {aggregate:.2f}x "
+            f"simulator aggregate speedup {aggregate:.2f}x "
             f"(backend={backend}) fell below {floor}x"
         )

@@ -98,7 +98,6 @@ def _campaign(args: argparse.Namespace, arch: NMCConfig | None = None):
         cache=cache,
         scale=getattr(args, "scale", 1.0),
         jobs=getattr(args, "jobs", None),
-        engine=getattr(args, "engine", None),
         memo_dir=getattr(args, "memo_dir", None),
     )
 
@@ -247,13 +246,11 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     start = time.perf_counter()
     from ..nmcsim import NMCSimulator
 
-    simulator = NMCSimulator(arch, engine=getattr(args, "engine", None))
-    result = simulator.run(trace, workload=workload.name)
+    result = NMCSimulator(arch).run(trace, workload=workload.name)
     elapsed = time.perf_counter() - start
     print(f"workload: {workload.name}  config: {config}")
     print(f"architecture: {arch.n_pes} PEs @ {arch.frequency_ghz} GHz, "
-          f"L1 {arch.l1_bytes} B, {arch.n_vaults} vaults  "
-          f"(engine: {simulator.engine})")
+          f"L1 {arch.l1_bytes} B, {arch.n_vaults} vaults")
     print(format_table(
         ["metric", "value"],
         [
@@ -289,7 +286,6 @@ def cmd_campaign(args: argparse.Namespace) -> None:
         cache=_cache_summary(campaign.cache),
         doe_run_seconds=campaign.doe_run_seconds,
         jobs=campaign.jobs,
-        sim_engine=campaign.engine,
         sim_memo=simulation_memo_summary(),
         sim_batch=simulation_batch_summary(),
         sim_jit=jit_status(),
@@ -322,7 +318,6 @@ def cmd_train(args: argparse.Namespace) -> None:
             cache=cache,
             scale=getattr(args, "scale", 1.0),
             jobs=getattr(args, "jobs", None),
-            engine=getattr(args, "engine", None),
         )
         for name in backends
     ]
@@ -358,7 +353,6 @@ def cmd_train(args: argparse.Namespace) -> None:
         model=_model_fit_summary(trained, training),
         output=str(args.output),
         jobs=campaign.jobs,
-        sim_engine=campaign.engine,
         sim_memo=simulation_memo_summary(),
         sim_batch=simulation_batch_summary(),
         sim_jit=jit_status(),
@@ -639,7 +633,6 @@ def cmd_suitability(args: argparse.Namespace) -> None:
             ),
         },
         jobs=campaign.jobs,
-        sim_engine=campaign.engine,
         sim_memo=simulation_memo_summary(),
         sim_batch=simulation_batch_summary(),
         sim_jit=jit_status(),
@@ -679,7 +672,6 @@ def _suitability_by_backend(
         cache=cache,
         scale=getattr(args, "scale", 1.0),
         jobs=getattr(args, "jobs", None),
-        engine=getattr(args, "engine", None),
     )
     cache.save()
     best = {

@@ -106,14 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--vaults", type=int, help="DRAM vaults")
 
-    def add_engine_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--engine", choices=("fast", "reference"), default=None,
-            help="simulation engine (default: $REPRO_SIM_ENGINE or fast); "
-                 "fast = vectorized two-phase, reference = per-access "
-                 "event loop; results are identical either way",
-        )
-
     def add_jobs_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--jobs", "-j", type=int, default=None, metavar="N",
@@ -184,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = new_command("simulate", help="phase 2: simulate on the NMC system")
     add_workload_args(p)
     add_arch_args(p)
-    add_engine_arg(p)
     add_trace_args(p)
     p.set_defaults(func=commands.cmd_simulate)
 
@@ -192,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_args(p)
     add_arch_args(p)
     p.add_argument("--cache", help="campaign cache file (JSON)")
-    add_engine_arg(p)
     add_jobs_arg(p)
     add_memo_dir_arg(p)
     add_manifest_arg(p)
@@ -224,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scale", type=float, default=1.0, help="trace shrink factor"
     )
-    add_engine_arg(p)
     add_jobs_arg(p)
     add_memo_dir_arg(p)
     add_manifest_arg(p)
@@ -332,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scale", type=float, default=1.0, help="trace shrink factor"
     )
-    add_engine_arg(p)
     add_jobs_arg(p)
     add_memo_dir_arg(p)
     add_manifest_arg(p)

@@ -19,7 +19,6 @@ reproduction only relies on their *relative* magnitudes (see DESIGN.md).
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 from . import schema
@@ -28,12 +27,6 @@ from .errors import ConfigError
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
-
-#: Valid NMC simulation engines (see :mod:`repro.nmcsim.simulator`):
-#: ``fast`` is the two-phase vectorized engine, ``reference`` the
-#: per-access event loop.  Both produce identical results.
-SIM_ENGINES = ("fast", "reference")
-
 
 @dataclass(frozen=True)
 class DRAMTiming:
@@ -405,55 +398,6 @@ class HostConfig:
         cfg = dataclasses.replace(self, **changes)  # type: ignore[arg-type]
         cfg.validate()
         return cfg
-
-
-@dataclass(frozen=True)
-class RuntimeConfig:
-    """Execution-engine settings — how the pipeline *runs*, not what it
-    models.
-
-    ``jobs`` is the worker-process count used by every parallelizable
-    stage (DoE campaigns, LOOCV retraining, bootstrap-tree fitting, grid
-    search); 1 means serial, 0 means one worker per CPU.  Parallel runs
-    are guaranteed to produce bit-identical results to serial ones (see
-    :mod:`repro.parallel`).
-
-    ``sim_engine`` selects the NMC simulation engine (``"fast"`` or
-    ``"reference"``; see :data:`SIM_ENGINES`) — an execution choice, not
-    a modelling one: both engines produce identical results.  The fast
-    engine's contention loop runs as a compiled C kernel whenever the
-    system C compiler builds it, and as a byte-identical heapq loop
-    otherwise (see :mod:`repro.nmcsim._native`); that is chosen by the
-    platform, not configured here.
-    """
-
-    jobs: int = 1
-    sim_engine: str = "fast"
-
-    def validate(self) -> None:
-        if self.jobs < 0:
-            raise ConfigError("jobs must be >= 0 (0 = all CPUs)")
-        if self.sim_engine not in SIM_ENGINES:
-            raise ConfigError(
-                f"sim_engine must be one of {', '.join(SIM_ENGINES)}"
-            )
-
-    def resolved_jobs(self) -> int:
-        """The effective worker count (0 expanded to the CPU count)."""
-        from .parallel import resolve_jobs
-
-        return resolve_jobs(self.jobs)
-
-
-def default_runtime_config() -> RuntimeConfig:
-    """Runtime settings honouring the ``REPRO_JOBS`` and
-    ``REPRO_SIM_ENGINE`` environment variables."""
-    from .parallel import resolve_jobs
-
-    engine = os.environ.get("REPRO_SIM_ENGINE", "").strip() or "fast"
-    cfg = RuntimeConfig(jobs=resolve_jobs(None), sim_engine=engine)
-    cfg.validate()
-    return cfg
 
 
 def default_nmc_config() -> NMCConfig:

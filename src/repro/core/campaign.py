@@ -26,10 +26,8 @@ from ..doe import ParameterSpace, central_composite
 from ..errors import CampaignError
 from ..ir import InstructionTrace
 from ..nmcsim import (
-    MEMO_COUNTER_NAMES,
     SimulationResult,
     configure_store,
-    resolve_engine,
     simulate_batch,
     store_dir,
 )
@@ -252,8 +250,8 @@ class CampaignCache:
 
 
 def _simulate_batch_job(
-    job: tuple[Workload, list, NMCConfig, float, str, dict],
-) -> tuple[list, list, float, dict[str, int]]:
+    job: tuple[Workload, list, NMCConfig, float, dict],
+) -> tuple[list, list, float]:
     """Worker-side body of one campaign chunk (module-level: picklable).
 
     ``job`` carries a contiguous chunk of pending points
@@ -265,15 +263,13 @@ def _simulate_batch_job(
     reproduce serial ones bit for bit.  Every point emits its own
     ``campaign.point``, ``phase.profile`` and (via
     :func:`repro.nmcsim.simulate_batch`) ``phase.simulate`` spans, so
-    campaign observability contracts hold at any worker count.  The
-    returned mapping carries the chunk's ``sim.memo.*`` counter deltas,
-    so worker-side memo activity reaches the parent's metrics registry
-    (and hence run manifests).
+    campaign observability contracts hold at any worker count (pool
+    workers ship their metrics deltas back through
+    :func:`repro.parallel.map_jobs`).
     """
-    workload, chunk, arch, scale, engine, known_profiles = job
+    workload, chunk, arch, scale, known_profiles = job
     start = time.perf_counter()
     m = metrics()
-    memo_before = {name: m.count(name) for name in MEMO_COUNTER_NAMES}
     profiles: list[ApplicationProfile] = []
     sim_points: list[tuple[InstructionTrace, NMCConfig, str, dict]] = []
     for point_key, config, seed in chunk:
@@ -292,7 +288,7 @@ def _simulate_batch_job(
             sim_points.append(
                 (trace, arch, workload.name, dict(config))
             )
-    results = simulate_batch(sim_points, engine=engine)
+    results = simulate_batch(sim_points)
     for result in results:
         m.inc("campaign.points.simulated")
         # Simulated (deterministic) kernel time, not wall-clock: serial
@@ -303,11 +299,7 @@ def _simulate_batch_job(
             result.time_s,
             {"workload": workload.name},
         )
-    memo_deltas = {
-        name: m.count(name) - memo_before[name]
-        for name in MEMO_COUNTER_NAMES
-    }
-    return profiles, results, time.perf_counter() - start, memo_deltas
+    return profiles, results, time.perf_counter() - start
 
 
 class SimulationCampaign:
@@ -315,9 +307,7 @@ class SimulationCampaign:
 
     ``jobs`` selects the worker-process count for campaign runs (1 =
     serial, 0 = all CPUs, None = honour ``REPRO_JOBS``); see
-    :mod:`repro.parallel` for the determinism guarantee.  ``engine``
-    selects the simulation engine (None = honour ``REPRO_SIM_ENGINE``,
-    default fast); both engines produce identical results.
+    :mod:`repro.parallel` for the determinism guarantee.
 
     Uncached points are split into one contiguous chunk per worker and
     each chunk is simulated with :func:`repro.nmcsim.simulate_batch`,
@@ -334,7 +324,6 @@ class SimulationCampaign:
         cache: CampaignCache | None = None,
         scale: float = 1.0,
         jobs: int | None = None,
-        engine: str | None = None,
         memo_dir: str | os.PathLike | None = None,
     ) -> None:
         self.arch = arch or default_nmc_config()
@@ -342,7 +331,6 @@ class SimulationCampaign:
         self.cache = cache if cache is not None else CampaignCache()
         self.scale = scale
         self.jobs = resolve_jobs(jobs)
-        self.engine = resolve_engine(engine)
         if memo_dir is not None:
             configure_store(memo_dir)
         # The canonical arch hash covers every config field; computing it
@@ -454,20 +442,6 @@ class SimulationCampaign:
                 pending.append((point_key, config, seed))
         return keys, pending
 
-    def _merge_memo_deltas(
-        self, outputs: Sequence[tuple], memo_before: Mapping[str, int]
-    ) -> None:
-        """Fold worker-side sim-memo counter activity into this process's
-        registry.  map_jobs may have run the jobs in-process (serial
-        fallback), in which case the counters already moved here — only
-        the part not observed locally is added."""
-        m = metrics()
-        for name in MEMO_COUNTER_NAMES:
-            reported = sum(deltas.get(name, 0) for *_, deltas in outputs)
-            missing = reported - (m.count(name) - memo_before[name])
-            if missing > 0:
-                m.inc(name, missing)
-
     def _rows_from_cache(
         self,
         workload: Workload,
@@ -523,7 +497,7 @@ class SimulationCampaign:
                 lo = hi
             payloads = [
                 (
-                    workload, chunk, self.arch, self.scale, self.engine,
+                    workload, chunk, self.arch, self.scale,
                     {
                         pk: known_profiles[pk]
                         for pk, _cfg, _seed in chunk
@@ -532,10 +506,6 @@ class SimulationCampaign:
                 )
                 for chunk in chunks
             ]
-            m = metrics()
-            memo_before = {
-                name: m.count(name) for name in MEMO_COUNTER_NAMES
-            }
             sdir = store_dir()
             outputs = map_jobs(
                 _simulate_batch_job,
@@ -547,9 +517,8 @@ class SimulationCampaign:
                     if sdir is not None else None
                 ),
             )
-            self._merge_memo_deltas(outputs, memo_before)
             done = 0
-            for chunk, (profiles, results, elapsed, _) in zip(
+            for chunk, (profiles, results, elapsed) in zip(
                 chunks, outputs
             ):
                 for (point_key, _cfg, _seed), profile, result in zip(

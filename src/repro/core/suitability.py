@@ -217,7 +217,6 @@ def analyze_backend_suitability(
     cache: CampaignCache | None = None,
     scale: float = 1.0,
     jobs: int | None = None,
-    engine: str | None = None,
     host_config: HostConfig | None = None,
     trainer_kwargs: dict | None = None,
 ) -> list[BackendSuitability]:
@@ -239,7 +238,7 @@ def analyze_backend_suitability(
     campaigns = {
         name: SimulationCampaign(
             NMCConfig.from_backend(name),
-            cache=cache, scale=scale, jobs=jobs, engine=engine,
+            cache=cache, scale=scale, jobs=jobs,
         )
         for name in backends
     }

@@ -12,7 +12,7 @@ This module holds the shared kernels: :func:`reuse_distances` (the classic
 Fenwick-tree / move-to-front formulation, O(M log M) over M accesses) and
 :func:`grouped_reuse_distances`, its per-set generalisation used by the
 profiler's locality features and by the vectorized L1 classifier of the
-fast simulation engine (:mod:`repro.nmcsim.classify`).
+NMC simulator (:mod:`repro.nmcsim.classify`).
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def lru_hit_mask(
     Mattson's inclusion property turned into a classifier: access ``t``
     hits if and only if its per-group (per-set) stack distance is a real
     reuse (not :data:`COLD_DISTANCE`) and smaller than the associativity.
-    This is the exact hit/miss oracle for *any* ``ways`` — the fast
-    simulation engine's phase-A classifier builds on it
+    This is the exact hit/miss oracle for *any* ``ways`` — the NMC
+    simulator's phase-A classifier builds on it
     (:mod:`repro.nmcsim.classify`).
     """
     if ways < 1:

@@ -68,8 +68,8 @@ class InstructionTrace:
             object.__setattr__(self, name, arr)
         # Memo for derived scalars (footprint, opcode histogram): the
         # columns are immutable, so once computed they never change.
-        # Simulating the same trace repeatedly (both engines, or many
-        # architecture points of a campaign) skips the re-scan.
+        # Simulating the same trace repeatedly (many architecture
+        # points of a campaign) skips the re-scan.
         object.__setattr__(self, "_memo", {})
 
     # Frozen container: forbid rebinding of columns after __init__.

@@ -12,7 +12,6 @@ Figure 7.
 from .cache import Cache, CacheStats
 from .classify import (
     LRUClassification,
-    classify_lru,
     classify_steps,
     classify_vectorized,
 )
@@ -26,13 +25,11 @@ from .memostore import (
 )
 from .results import SimulationResult
 from .simulator import (
-    ENGINES,
-    MEMO_COUNTER_NAMES,
     NMCSimulator,
     jit_status,
-    resolve_engine,
     simulate,
     simulate_batch,
+    simulate_reference,
     simulation_batch_summary,
     simulation_memo_bytes,
     simulation_memo_summary,
@@ -45,9 +42,7 @@ from .stats import SimulationStats, derive_stats, format_stats
 __all__ = [
     "NMCSimulator",
     "simulate",
-    "ENGINES",
-    "resolve_engine",
-    "MEMO_COUNTER_NAMES",
+    "simulate_reference",
     "jit_status",
     "simulate_batch",
     "simulation_batch_summary",
@@ -59,7 +54,6 @@ __all__ = [
     "store_dir",
     "store_status",
     "LRUClassification",
-    "classify_lru",
     "classify_steps",
     "classify_vectorized",
     "SimulationResult",

@@ -1,6 +1,6 @@
 """The compiled phase-B contention kernel.
 
-Phase B of the fast engine (:mod:`repro.nmcsim.simulator`) replays the
+Phase B of the simulator (:mod:`repro.nmcsim.simulator`) replays the
 miss/writeback event stream through a global-time heap.  The loop is
 exact but interpreter-bound, so it runs as a C kernel over *packed* flat
 arrays (all streams' events concatenated, offset-indexed): the source

@@ -7,13 +7,14 @@ would benefit from a larger NMC cache).
 
 Policy: write-back, write-allocate, LRU replacement.
 
-Role in the engines: the *reference* simulation engine steps this model
-per access, and the classifier tests use the step-wise walk
-(:func:`repro.nmcsim.classify.classify_steps`) as the golden oracle.
-The fast engine never consults it — its vectorized stack-distance
-classifier (:mod:`repro.nmcsim.classify`) is exact for any geometry —
-so this class is the readable statement of the cache semantics, not a
-production fallback.
+Role in the simulator: the per-access oracle
+(:func:`repro.nmcsim.simulate_reference`, also the ``--trace-hw`` path)
+steps this model per access, and the classifier tests use the step-wise
+walk (:func:`repro.nmcsim.classify.classify_steps`) as the golden
+oracle.  The two-phase path never consults it — its vectorized
+stack-distance classifier (:mod:`repro.nmcsim.classify`) is exact for
+any geometry — so this class is the readable statement of the cache
+semantics, not a production fallback.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ class Cache:
         ``(hit, wb_line)``: a boolean hit mask and the dirty victim line
         evicted by each access (-1 when none).  The cache state and
         statistics advance exactly as if :meth:`access` had been called
-        per element — this is the array API the simulation engines and
-        the vectorized-classifier golden tests build on.
+        per element — this is the array API
+        :func:`~repro.nmcsim.classify.classify_steps` and the
+        vectorized-classifier golden tests build on.
         """
         n = len(lines)
         hit = np.empty(n, dtype=bool)

@@ -1,4 +1,4 @@
-"""Vectorized L1 classification (phase A of the fast simulation engine).
+"""Vectorized L1 classification (phase A of the NMC simulator).
 
 The classic stack-distance result behind the profiler's locality features
 (:mod:`repro.ir.stackdist`) also makes L1 simulation *data-parallel*: a
@@ -28,7 +28,7 @@ and writeback event set for the exact global-time contention loop
 
 :func:`classify_steps` — the step-wise :class:`~repro.nmcsim.cache.Cache`
 walk — remains as the independent golden oracle the vectorized paths are
-tested against; the engines themselves never fall back to it.
+tested against; the simulator itself never falls back to it.
 """
 
 from __future__ import annotations
@@ -87,13 +87,6 @@ def classify_steps(
     flush_lines = cache.dirty_lines()
     cache.flush()
     return LRUClassification(hit, wb_line, flush_lines, cache.stats)
-
-
-def classify_lru(
-    lines: np.ndarray, writes: np.ndarray, *, n_sets: int, ways: int
-) -> LRUClassification:
-    """Classify one access stream (vectorized, exact for any ways)."""
-    return classify_vectorized(lines, writes, n_sets=n_sets, ways=ways)
 
 
 def _dirty_after(

@@ -38,7 +38,7 @@ class StackedMemory:
     one ``vault.access`` slice per DRAM access — the vault-occupancy lanes
     of the simulated-hardware trace.
 
-    :meth:`access` sits on the hot path of both simulation engines (it is
+    :meth:`access` sits on the hot path of both simulation paths (it is
     called once per L1 miss and writeback), so the per-bank and per-vault
     timing state is kept in flat lists rather than :class:`Bank` /
     :class:`Vault` object graphs — semantics (and the exact
@@ -123,7 +123,7 @@ class StackedMemory:
     ) -> None:
         """Credit access totals computed out-of-band.
 
-        The fast simulation engine pre-counts its miss/writeback traffic
+        The two-phase simulation path pre-counts its miss/writeback traffic
         vectorized (totals are order-independent) and drives only the
         timing state through the per-event loop.
         """

@@ -1,4 +1,4 @@
-"""Persistent cross-process store for the fast engine's phase-A products.
+"""Persistent cross-process store for the simulator's phase-A products.
 
 The in-process geometry memos (``trace._memo`` side tables, see
 :mod:`repro.nmcsim.simulator`) die with the process: every ``--jobs N``

@@ -13,24 +13,24 @@ Ramulator-PIM for this paper's experiments:
 * vault/bank contention between PEs is resolved exactly, by processing all
   PEs' memory events in global time order (heap-driven).
 
-Two engines implement this model with identical results:
+The simulator runs this model in two phases: **phase A** classifies
+every PE stream's hits, misses, writebacks and end-of-kernel flushes up
+front with the vectorized stack-distance classifier
+(:mod:`repro.nmcsim.classify`, exact for any associativity), then
+**phase B** runs the exact contention loop over *only* the
+miss/writeback events, with hit latencies folded into the compute
+segments.
 
-* ``reference`` — one heap event per memory access, stepping the
-  :class:`~repro.nmcsim.cache.Cache` model per access (the original,
-  obviously-correct formulation);
-* ``fast`` (default) — two-phase: **phase A** classifies every PE
-  stream's hits, misses, writebacks and end-of-kernel flushes up front
-  with the vectorized stack-distance classifier
-  (:mod:`repro.nmcsim.classify`, exact for any associativity), then
-  **phase B** runs the exact contention loop over *only* the
-  miss/writeback events, with hit latencies folded into the compute
-  segments.
+:func:`simulate_reference` keeps the original, obviously-correct
+formulation — one heap event per memory access, stepping the
+:class:`~repro.nmcsim.cache.Cache` model per access — as the golden
+oracle the two-phase path is tested against.  Hardware-timeline runs
+(``--trace-hw``), which need one event per access, take it too.  Event
+times on both paths are computed from the same prefix-sum expressions
+(``base_t + (pref[k+1] - pref[base+1]) + n_hits * l1``), so they agree
+bit for bit — not merely within tolerance.
 
-Event times in both engines are computed from the same prefix-sum
-expressions (``base_t + (pref[k+1] - pref[base+1]) + n_hits * l1``), so
-the engines agree bit for bit — not merely within tolerance.
-
-Two further levers sit on top of the fast engine:
+Two further levers sit on top of the two-phase path:
 
 * **geometry memos** — phase A's products are pure functions of
   (trace, architecture-slice): PE streams depend only on the PE count /
@@ -52,7 +52,6 @@ on.
 from __future__ import annotations
 
 import heapq
-import os
 import warnings
 import weakref
 from collections import OrderedDict
@@ -60,38 +59,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..config import SIM_ENGINES, NMCConfig, default_nmc_config
-from ..errors import ConfigError, SimulationError
+from ..config import NMCConfig, default_nmc_config
+from ..errors import SimulationError
 from ..ir import OPCODE_LATENCY, InstructionTrace, Opcode
 from ..obs import get_logger, metrics, tracer
 from ._native import get_kernel
 from .cache import Cache, CacheStats
-from .classify import classify_lru
+from .classify import classify_vectorized
 from .dram import StackedMemory
 from .energy import compute_energy
 from .memostore import active_store, store_key, store_status
 from .results import SimulationResult
 
 log = get_logger("repro.nmcsim")
-
-#: Environment variable selecting the simulation engine.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-#: Valid engine names; ``fast`` is the default.
-ENGINES = SIM_ENGINES
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """The effective engine name: argument, ``$REPRO_SIM_ENGINE``, or fast."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR, "").strip() or "fast"
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown simulation engine {engine!r}; "
-            f"expected one of {', '.join(ENGINES)}"
-        )
-    return engine
-
 
 def jit_status() -> dict:
     """Phase-B kernel provenance for manifests (``sim_jit``) and
@@ -106,19 +86,6 @@ def jit_status() -> dict:
 # --------------------------------------------------------------- memos
 
 _MEMO_KINDS = ("streams", "classify", "events")
-
-#: ``repro.obs`` counter names fed by the phase-A memo layers — the
-#: in-process geometry memos plus the persistent cross-process store
-#: (exported so the campaign runner can aggregate worker deltas into
-#: manifests).
-MEMO_COUNTER_NAMES = tuple(
-    f"sim.memo.{kind}.{outcome}"
-    for kind in _MEMO_KINDS
-    for outcome in ("hits", "misses")
-) + tuple(
-    f"sim.memo.store.{outcome}"
-    for outcome in ("hits", "misses", "writes", "errors")
-)
 
 #: Per-trace LRU capacity of each memo kind.  Streams only vary with the
 #: coarse PE slice (few distinct values per campaign); classification and
@@ -279,7 +246,7 @@ class _PEStream:
     Timing state is normalized to *miss anchors*: ``base_t`` is the
     completion time of the last miss (0.0 initially) and ``base_k`` its
     op index (-1 initially); every later event time derives from them via
-    :meth:`issue_ns`, which is the expression both engines share.
+    :meth:`issue_ns`, which is the expression both paths share.
     ``outstanding`` is a min-heap of in-flight miss completion times for
     the out-of-order PE model.
     """
@@ -321,8 +288,8 @@ class _PEStream:
 
         All ops in ``(base_k, k)`` are hits by construction, each adding
         one L1 cycle; the expression (and its floating-point evaluation
-        order) is shared verbatim with the fast engine's vectorized
-        delta computation, which is what makes the engines bit-identical.
+        order) is shared verbatim with the two-phase path's vectorized
+        delta computation, which is what makes the paths bit-identical.
         """
         return self.base_t + (
             (self.pref[k + 1] - self.pref[self.base_k + 1])
@@ -427,7 +394,7 @@ class _EventBundle:
 class _PhaseA:
     """The complete phase-A product of one (trace, architecture-slice).
 
-    Everything the fast engine needs downstream of classification: the
+    Everything the two-phase path needs downstream of classification: the
     packed event bundle, the aggregate L1 statistics, the end-of-kernel
     flush write count and the stream count.  This is the unit both the
     in-process events memo and the persistent cross-process store cache —
@@ -612,23 +579,11 @@ def _decode_phase_a(
 
 
 class NMCSimulator:
-    """Simulates kernel traces on one NMC architecture configuration.
+    """Simulates kernel traces on one NMC architecture configuration."""
 
-    ``engine`` selects the execution engine (``"fast"`` two-phase or
-    ``"reference"`` per-access; ``None`` honours ``$REPRO_SIM_ENGINE``,
-    default fast).  Both engines produce identical
-    :class:`SimulationResult` values; see :mod:`repro.nmcsim.classify`.
-    """
-
-    def __init__(
-        self,
-        config: NMCConfig | None = None,
-        *,
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, config: NMCConfig | None = None) -> None:
         self.config = config or default_nmc_config()
         self.config.validate()
-        self.engine = resolve_engine(engine)
 
     def run(
         self,
@@ -639,16 +594,17 @@ class NMCSimulator:
     ) -> SimulationResult:
         """Simulate one trace; returns IPC, time and energy.
 
-        The fast engine runs as a one-point :func:`simulate_batch`.
-        Reference-engine runs and hardware-traced runs (``--trace-hw``,
-        which needs one timeline event per access, exactly what the fast
-        engine elides) take the per-access path; results are identical
-        either way.
+        Runs as a one-point :func:`simulate_batch`.
         """
-        if self.engine == "fast" and not tracer().hw_enabled:
-            return simulate_batch(
-                [(trace, self.config, workload, parameters)], engine="fast"
-            )[0]
+        return simulate_batch([(trace, self.config, workload, parameters)])[0]
+
+    def _run_reference(
+        self,
+        trace: InstructionTrace,
+        workload: str,
+        parameters: Mapping[str, float] | None,
+    ) -> SimulationResult:
+        """The per-access path behind :func:`simulate_reference`."""
         if len(trace) == 0:
             raise SimulationError("cannot simulate an empty trace")
         with metrics().timer("phase.simulate") as span:
@@ -671,27 +627,6 @@ class NMCSimulator:
         metrics().inc("nmcsim.runs")
         _log_done(workload, "reference", result, span.elapsed_s)
         return result
-
-    def run_batch(
-        self,
-        items: Sequence[
-            tuple[InstructionTrace, str, Mapping[str, float] | None]
-        ],
-    ) -> list[SimulationResult]:
-        """Simulate many traces on this configuration, phase A scheduled
-        so points sharing a trace run back to back.
-
-        ``items`` holds ``(trace, workload, parameters)`` tuples; see
-        :func:`simulate_batch` for the scheduling and equivalence
-        contract.
-        """
-        return simulate_batch(
-            [
-                (trace, self.config, workload, parameters)
-                for trace, workload, parameters in items
-            ],
-            engine=self.engine,
-        )
 
     # ----------------------------------------------------------- shared
 
@@ -822,7 +757,7 @@ class NMCSimulator:
             parameters=dict(parameters or {}),
         )
 
-    # -------------------------------------------------- reference engine
+    # ---------------------------------------------- per-access oracle
 
     def _contend_reference(
         self,
@@ -922,7 +857,7 @@ class NMCSimulator:
             cache_stats.merge(s.cache.stats)
         return cache_stats, flush_writes
 
-    # ------------------------------------------------------- fast engine
+    # --------------------------------------------------- two-phase path
 
     def _build_events(
         self,
@@ -1027,7 +962,7 @@ class NMCSimulator:
         and packs the miss events.  Phase B then replays only the misses
         through the global-time heap — the same issue-time expressions
         and the same sequence of memory-pipeline updates as the
-        reference engine, because hits never touch shared state.
+        per-access path, because hits never touch shared state.
         """
         cfg = self.config
         streams = self._build_streams(trace)
@@ -1036,7 +971,7 @@ class NMCSimulator:
             "classify",
             (cfg.n_pes, cfg.line_bytes, cfg.l1_sets, cfg.l1_ways),
             lambda: [
-                classify_lru(
+                classify_vectorized(
                     s.lines, s.writes,
                     n_sets=cfg.l1_sets, ways=cfg.l1_ways,
                 )
@@ -1156,7 +1091,7 @@ def _contend_python_bundle(
     Operates on packed slots throughout.  The heap orders events by
     (time, slot); slot order equals original stream-index order because
     ``sidx`` is strictly increasing, so ties break identically to the
-    reference engine's (time, stream index) order and the replay is
+    per-access path's (time, stream index) order and the replay is
     bit-identical whichever indexing is used.
     """
     n = bundle.n_packed
@@ -1170,8 +1105,8 @@ def _contend_python_bundle(
     # StackedMemory.access (bank + vault bus, see dram/hmc.py);
     # routing and traffic counting were pre-computed vectorized
     # in phase A.  Every expression keeps the exact evaluation
-    # order of the method, so the floats are identical; the fast
-    # engine never carries a hardware timeline (see _run), so
+    # order of the method, so the floats are identical; the two-phase
+    # path never carries a hardware timeline (see simulate_batch), so
     # that branch is dropped.
     bus_ready = memory._bus_ready
     bank_ready = memory._bank_ready
@@ -1196,7 +1131,7 @@ def _contend_python_bundle(
     # processed, and it is only rewritten when the active stream
     # stops being globally next — one heapreplace per stream
     # switch instead of a pop + push per event.  The event order
-    # is exactly the reference engine's (time, stream index)
+    # is exactly the per-access path's (time, stream index)
     # order: a stream keeps the floor only while its next miss
     # precedes both heap children (the decrease-key invariant).
     inf = float("inf")
@@ -1304,12 +1239,29 @@ def simulate(
     *,
     workload: str = "",
     parameters: Mapping[str, float] | None = None,
-    engine: str | None = None,
 ) -> SimulationResult:
     """Convenience wrapper: simulate ``trace`` on ``config`` (Table 3 default)."""
-    return NMCSimulator(config, engine=engine).run(
+    return NMCSimulator(config).run(
         trace, workload=workload, parameters=parameters
     )
+
+
+def simulate_reference(
+    trace: InstructionTrace,
+    config: NMCConfig | None = None,
+    *,
+    workload: str = "",
+    parameters: Mapping[str, float] | None = None,
+) -> SimulationResult:
+    """The per-access golden oracle: one heap event per memory access,
+    stepping the :class:`~repro.nmcsim.cache.Cache` model per access.
+
+    Returns the same :class:`SimulationResult` as :func:`simulate`, bit
+    for bit, only slower.  The equivalence tests and the simulator
+    benchmark check the two-phase path against it, and hardware-timeline
+    runs use it for their per-access events.
+    """
+    return NMCSimulator(config)._run_reference(trace, workload, parameters)
 
 
 # ------------------------------------------------------- batched replay
@@ -1320,13 +1272,13 @@ _BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
 def _log_done(
-    workload: str, engine: str, result: SimulationResult, seconds: float | None
+    workload: str, path: str, result: SimulationResult, seconds: float | None
 ) -> None:
     log.debug(
         "simulation done",
         extra={"ctx": {
             "workload": workload or "(unnamed)",
-            "engine": engine,
+            "path": path,
             "instructions": result.instructions,
             "cycles": result.cycles,
             "seconds": round(seconds or 0.0, 3),
@@ -1338,10 +1290,8 @@ def simulate_batch(
     points: Sequence[
         tuple[InstructionTrace, NMCConfig | None, str, Mapping[str, float] | None]
     ],
-    *,
-    engine: str | None = None,
 ) -> list[SimulationResult]:
-    """Simulate many design points; the fast engine's one entry point.
+    """Simulate many design points; the simulator's one entry point.
 
     ``points`` holds ``(trace, config, workload, parameters)`` tuples
     (``config=None`` means the Table 3 default).  Results are returned
@@ -1357,26 +1307,27 @@ def simulate_batch(
     counters and observes its summed contention seconds in the
     ``sim.batch.contend_s`` histogram.
 
-    Non-fast engines and hardware-timeline runs fall back to per-point
-    :meth:`~NMCSimulator.run` calls on the per-access path.
+    Hardware-timeline runs (``tracer().hw_enabled``) need one event per
+    access, so they take the per-access path of
+    :func:`simulate_reference` point by point instead.
     """
     if not points:
         return []
-    resolved = resolve_engine(engine)
+    if tracer().hw_enabled:
+        return [
+            simulate_reference(
+                trace, cfg, workload=workload, parameters=parameters
+            )
+            for trace, cfg, workload, parameters in points
+        ]
     sims: dict[int, NMCSimulator] = {}
 
     def sim_for(cfg: NMCConfig | None) -> NMCSimulator:
         sim = sims.get(id(cfg))
         if sim is None:
-            sim = NMCSimulator(cfg, engine=resolved)
+            sim = NMCSimulator(cfg)
             sims[id(cfg)] = sim
         return sim
-
-    if resolved != "fast" or tracer().hw_enabled:
-        return [
-            sim_for(cfg).run(trace, workload=workload, parameters=parameters)
-            for trace, cfg, workload, parameters in points
-        ]
 
     trace_rank: dict[int, int] = {}
     for trace, _cfg, _w, _p in points:

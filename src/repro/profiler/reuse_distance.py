@@ -10,8 +10,8 @@ reuse distance < ``C``.
 
 The computation kernel (the classic Fenwick-tree / move-to-front
 formulation of Mattson's stack algorithm, O(M log M) over M accesses)
-lives in :mod:`repro.ir.stackdist`, shared with the fast simulation
-engine's L1 classifier; this module keeps the feature extraction.
+lives in :mod:`repro.ir.stackdist`, shared with the NMC simulator's L1
+classifier; this module keeps the feature extraction.
 """
 
 from __future__ import annotations

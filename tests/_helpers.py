@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ir import LoopTemplate, Opcode, TemplateOp, TraceBuilder
+from repro.nmcsim import simulate_reference
+from repro.workloads import get_workload
+from repro.workloads.base import config_seed
 
 
 def build_stream_trace(n: int = 2000, *, tid: int = 0, pc_base: int = 0):
@@ -37,3 +40,28 @@ def build_random_trace(n: int = 2000, *, seed: int = 0, span: int = 1 << 24):
     addrs = 0x100000 + rng.integers(0, span, size=n, dtype=np.int64) * 8
     template.emit(builder, n, {"x": addrs}, tid=0, pc_base=0)
     return builder.finish()
+
+
+def oracle_results(training, *, scale: float):
+    """The per-access oracle's result for every row of a campaign.
+
+    Regenerates each row's trace exactly as the campaign did (the
+    configuration's seed, plus one per repeated centre replicate) and
+    simulates it with :func:`repro.nmcsim.simulate_reference`.
+    """
+    seen: dict[tuple, int] = {}
+    results = []
+    for row in training.rows:
+        key = (row.workload, tuple(sorted(row.parameters.items())))
+        replicate = seen.get(key, 0)
+        seen[key] = replicate + 1
+        trace = get_workload(row.workload).generate(
+            row.parameters,
+            scale=scale,
+            seed=config_seed(row.workload, row.parameters) + replicate,
+        )
+        results.append(simulate_reference(
+            trace, row.arch,
+            workload=row.workload, parameters=row.parameters,
+        ))
+    return results

@@ -2,9 +2,9 @@
 
 The ``hmc`` backend is the pre-refactor device: ``NMCConfig()`` (and
 ``--backend hmc``) must reproduce the pinned pre-refactor golden results
-bit for bit, on both engines.  The other descriptors are exercised
-against per-backend golden snapshots and the fast/reference equivalence
-contract.
+bit for bit, on the simulator and on its per-access oracle.  The other
+descriptors are exercised against per-backend golden snapshots and the
+simulator/oracle equivalence contract.
 """
 
 import json
@@ -29,7 +29,7 @@ from repro.core.campaign import CACHE_FORMAT_VERSION, CampaignCache, _arch_key
 from repro.doe import ParameterSpace, central_composite, cross_backends
 from repro.doe.lhs import latin_hypercube
 from repro.errors import ConfigError, DoEError, SchemaMismatchError
-from repro.nmcsim import NMCSimulator
+from repro.nmcsim import NMCSimulator, simulate_reference
 from repro.nmcsim.energy import compute_energy
 from repro.nmcsim.interconnect import LinkModel
 from repro.schema import (
@@ -47,10 +47,12 @@ def load_golden(name):
     return json.loads((DATA / name).read_text())
 
 
-def run(name, cfg, *, scale, seed, engine, **run_kwargs):
+def run(name, cfg, *, scale, seed, oracle=False, **run_kwargs):
     wl = get_workload(name)
     trace = wl.generate(wl.test_config(), scale=scale, seed=seed)
-    return NMCSimulator(cfg, engine=engine).run(trace, **run_kwargs)
+    if oracle:
+        return simulate_reference(trace, cfg, **run_kwargs)
+    return NMCSimulator(cfg).run(trace, **run_kwargs)
 
 
 # ---------------------------------------------------------------- registry
@@ -170,15 +172,16 @@ class TestHmcBitIdentity:
     def golden(self):
         return load_golden("golden_pre_refactor_hmc.json")
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_all_workloads_match_pre_refactor_golden(self, golden, engine):
+    @pytest.mark.parametrize("path", ["fast", "reference"])
+    def test_all_workloads_match_pre_refactor_golden(self, golden, path):
         cfg = NMCConfig.from_backend("hmc")
         for name, want in golden["results"].items():
             got = run(
                 name, cfg, scale=golden["scale"], seed=golden["seed"],
-                engine=engine, workload=name, parameters={"p": 1.0},
+                oracle=path == "reference",
+                workload=name, parameters={"p": 1.0},
             ).to_json_dict()
-            assert got == want, f"{name} ({engine}) drifted from golden"
+            assert got == want, f"{name} ({path}) drifted from golden"
 
     def test_heapq_fallback_matches_pre_refactor_golden(
         self, golden, heapq_phase_b
@@ -187,7 +190,7 @@ class TestHmcBitIdentity:
         for name, want in golden["results"].items():
             got = run(
                 name, cfg, scale=golden["scale"], seed=golden["seed"],
-                engine="fast", workload=name, parameters={"p": 1.0},
+                workload=name, parameters={"p": 1.0},
             ).to_json_dict()
             assert got == want, f"{name} (heapq) drifted from golden"
 
@@ -205,7 +208,6 @@ class TestBackendGoldens:
         for name, want in golden["results"][backend].items():
             got = run(
                 name, cfg, scale=golden["scale"], seed=golden["seed"],
-                engine="fast",
             ).to_json_dict()
             assert got == want, f"{backend}/{name} drifted from golden"
 
@@ -230,8 +232,8 @@ class TestWriteAsymmetry:
             )
         )
         asym = NMCConfig.from_backend("nand-nmc")
-        t_sym = run("gemv", sym, scale=8.0, seed=3, engine="fast").time_s
-        t_asym = run("gemv", asym, scale=8.0, seed=3, engine="fast").time_s
+        t_sym = run("gemv", sym, scale=8.0, seed=3).time_s
+        t_asym = run("gemv", asym, scale=8.0, seed=3).time_s
         assert t_asym > t_sym
 
     def test_write_energy_asymmetry_counts_writes_only(self):

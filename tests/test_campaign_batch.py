@@ -1,7 +1,7 @@
 """Batched campaign replay + the persistent phase-A memo store.
 
-Covers the bit-identity matrix (batched vs per-point and reference
-across workloads, backends, job counts, and the compiled kernel vs its
+Covers the bit-identity matrix (batched vs per-point and the per-access
+oracle across workloads, backends, job counts, and the compiled kernel vs its
 heapq fallback), contention-time attribution, the persistent store's
 corruption / version-skew tolerance, concurrent-writer safety, the
 in-process memo bounds, and benchmark-record placement.
@@ -15,15 +15,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _helpers import oracle_results
 
 from repro.config import NMCConfig, default_nmc_config
 from repro.core.campaign import CampaignCache, SimulationCampaign
+from repro.doe import ParameterSpace, central_composite
 from repro.errors import SimulationError
 from repro.nmcsim import (
     MemoStore,
     NMCSimulator,
     configure_store,
     simulate_batch,
+    simulate_reference,
     simulation_batch_summary,
     simulation_memo_bytes,
     simulation_memo_summary,
@@ -34,7 +37,7 @@ from repro.nmcsim import _native as native_mod
 from repro.nmcsim import memostore as memostore_mod
 from repro.nmcsim import simulator as simulator_mod
 from repro.nmcsim.memostore import store_key
-from repro.obs import metrics, phase_timings
+from repro.obs import activate_tracing, metrics, phase_timings, reset_tracing
 from repro.workloads import get_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -87,25 +90,38 @@ class TestBatchedBitIdentity:
                 points.append((trace, cfg, wname, {}))
         expected = [
             canonical(
-                NMCSimulator(cfg, engine="fast").run(
+                NMCSimulator(cfg).run(
                     trace, workload=w, parameters=dict(p)
                 )
             )
             for trace, cfg, w, p in points
         ]
-        got = simulate_batch(points, engine="fast")
+        got = simulate_batch(points)
         assert [canonical(r) for r in got] == expected
-        reference = simulate_batch(points, engine="reference")
+        reference = [
+            simulate_reference(trace, cfg, workload=w, parameters=dict(p))
+            for trace, cfg, w, p in points
+        ]
         assert [canonical(r) for r in reference] == expected
 
-    def test_reference_engine_falls_back_per_point(self):
+    def test_reference_engine_falls_back_per_point(self, tmp_path):
+        # A hardware-traced batch takes the per-access path point by
+        # point: no batch call, no contention timer, same results.
         trace = small_trace("atax", scale=8.0)
-        points = [(trace, None, "atax", {})]
-        (ref,) = simulate_batch(points, engine="reference")
-        fast = NMCSimulator(engine="fast").run(
-            trace, workload="atax", parameters={}
-        )
-        assert canonical(ref) == canonical(fast)
+        points = [(trace, None, "atax", {})] * 2
+        fast = NMCSimulator().run(trace, workload="atax", parameters={})
+        m = metrics()
+        before = m.snapshot()
+        try:
+            activate_tracing(tmp_path / "trace.json", hw=True)
+            refs = simulate_batch(points)
+        finally:
+            reset_tracing()
+        delta = m.diff(before)
+        assert [canonical(r) for r in refs] == [canonical(fast)] * 2
+        assert delta["counters"]["nmcsim.runs"] == 2
+        assert "sim.batch.calls" not in delta["counters"]
+        assert "phase.simulate.contend" not in delta["timers"]
 
     def test_empty_trace_rejected(self):
         trace = small_trace("atax", scale=8.0)
@@ -120,17 +136,16 @@ class TestBatchedBitIdentity:
     ):
         use_kernel(monkeypatch, compiled)
         workload = get_workload("atax")
-        baseline = SimulationCampaign(
-            scale=8.0, jobs=1, engine="reference"
-        ).run(workload)
-        expected = [canonical(row.result) for row in baseline.rows]
         batched = SimulationCampaign(
             scale=8.0, jobs=jobs, memo_dir=tmp_path / "store",
         ).run(workload)
-        assert [canonical(row.result) for row in batched.rows] == expected
-        assert [row.parameters for row in batched.rows] == [
-            row.parameters for row in baseline.rows
+        expected = [
+            canonical(r) for r in oracle_results(batched, scale=8.0)
         ]
+        assert [canonical(row.result) for row in batched.rows] == expected
+        assert len(expected) == len(central_composite(
+            ParameterSpace.of_workload(workload)
+        ))
 
     def test_campaign_batched_reuses_cache(self, tmp_path):
         workload = get_workload("atax")
@@ -182,7 +197,7 @@ class TestContentionAttribution:
         use_kernel(monkeypatch, compiled)
         trace = small_trace("bfs", scale=8.0)
         before = self._counts()
-        NMCSimulator(engine="fast").run(trace, workload="bfs")
+        NMCSimulator().run(trace, workload="bfs")
         assert self._delta(before) == {
             "phase.simulate": 1, "phase.simulate.contend": 1,
             "nmcsim.runs": 1, "contend_calls": 1,
@@ -212,7 +227,7 @@ class TestMemoStore:
     def _run_with_store(self, path, *, scale=6.0, wname="atax"):
         configure_store(path)
         trace = small_trace(wname, scale=scale)
-        result = NMCSimulator(engine="fast").run(
+        result = NMCSimulator().run(
             trace, workload=wname, parameters={}
         )
         return trace, result
@@ -330,9 +345,11 @@ class TestMemoStore:
         """jobs=2 batched campaign against one store dir: consistent
         results, no write errors (concurrent-writer safety end to end)."""
         workload = get_workload("atax")
-        baseline = SimulationCampaign(
-            scale=8.0, engine="reference"
-        ).run(workload)
+        baseline = SimulationCampaign(scale=8.0).run(workload)
+        expected = [
+            canonical(r) for r in oracle_results(baseline, scale=8.0)
+        ]
+        assert [canonical(r.result) for r in baseline.rows] == expected
         # The baseline warmed the in-process memos on the shared trace
         # objects; drop them so the batched run must go through the
         # store (fresh-process semantics).
@@ -349,9 +366,7 @@ class TestMemoStore:
         shared = SimulationCampaign(
             scale=8.0, jobs=2, memo_dir=tmp_path
         ).run(workload)
-        assert [canonical(r.result) for r in shared.rows] == [
-            canonical(r.result) for r in baseline.rows
-        ]
+        assert [canonical(r.result) for r in shared.rows] == expected
         status = store_status()
         assert status["errors"] == before["errors"]
         assert (
@@ -370,7 +385,7 @@ class TestMemoBounds:
         )
         trace = small_trace("atax", scale=8.0)
         for cfg in arch_variants()[:3]:
-            NMCSimulator(cfg, engine="fast").run(
+            NMCSimulator(cfg).run(
                 trace, workload="atax", parameters={}
             )
         for kind in ("streams", "classify", "events"):
@@ -379,7 +394,7 @@ class TestMemoBounds:
 
     def test_memo_bytes_reported(self):
         trace = small_trace("atax", scale=8.0)
-        NMCSimulator(engine="fast").run(
+        NMCSimulator().run(
             trace, workload="atax", parameters={}
         )
         sizes = simulation_memo_bytes()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.trace import HW_PID
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +38,12 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
+
+    def test_engine_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["campaign", "atax", "--engine", "fast"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 class TestWorkloadsCommand:
@@ -90,6 +97,26 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert "8 PEs @ 2.0 GHz" in out
+
+    def test_hw_traced_run_prints_identical_results(self, capsys, tmp_path):
+        # --trace-hw takes the per-access path (one timeline event per
+        # access); every printed figure but the wall-clock must match.
+        def figures(out):
+            return [ln for ln in out.splitlines() if "wall-clock" not in ln]
+
+        code, plain, _ = run_cli(capsys, "simulate", "atax", "--scale", "8")
+        assert code == 0
+        trace_path = tmp_path / "hw.json"
+        code, traced, _ = run_cli(
+            capsys, "simulate", "atax", "--scale", "8",
+            "--trace-hw", "--trace", str(trace_path),
+        )
+        assert code == 0
+        assert figures(traced) == figures(plain)
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        assert any(
+            e.get("pid") == HW_PID and e["ph"] != "M" for e in events
+        )
 
 
 class TestTrainPredictRoundtrip:

@@ -1,10 +1,11 @@
-"""Equivalence suite for the two simulation engines.
+"""Equivalence suite for the simulator against its per-access oracle.
 
-The fast (two-phase, vectorized) engine must produce *bit-identical*
-:class:`SimulationResult` values to the per-access reference engine —
-across workloads, cache geometries (any associativity), core models,
-campaign execution modes, the geometry memos, the compiled phase-B
-kernel and its heapq fallback, and tracing.  These tests enforce that contract, plus golden and
+The simulator (two-phase, vectorized) must produce *bit-identical*
+:class:`SimulationResult` values to :func:`simulate_reference`, the
+per-access oracle — across workloads, cache geometries (any
+associativity), core models, campaign execution modes, the geometry
+memos, the compiled phase-B kernel and its heapq fallback, and
+tracing.  These tests enforce that contract, plus golden and
 property tests of the vectorized LRU classifier against two independent
 oracles: the step-wise :class:`Cache` walk and a stack-distance +
 ordered-dict reconstruction.
@@ -20,18 +21,16 @@ from collections import OrderedDict, defaultdict
 import numpy as np
 import pytest
 
+from _helpers import oracle_results
 from repro import SimulationCampaign, default_nmc_config, get_workload
-from repro.config import SIM_ENGINES, NMCConfig, RuntimeConfig
-from repro.errors import ConfigError
+from repro.config import NMCConfig
 from repro.ir import lru_hit_mask
 from repro.nmcsim import (
-    ENGINES,
     NMCSimulator,
-    classify_lru,
     classify_steps,
     classify_vectorized,
     jit_status,
-    resolve_engine,
+    simulate_reference,
     simulation_memo_summary,
 )
 from repro.nmcsim import _native as native_mod
@@ -157,19 +156,8 @@ class TestClassifierGolden:
         writes = rng.random(400) < 0.3
         for ways in (3, 4, 8):
             assert_classifications_equal(
-                classify_lru(lines, writes, n_sets=4, ways=ways),
+                classify_vectorized(lines, writes, n_sets=4, ways=ways),
                 classify_steps(lines, writes, n_sets=4, ways=ways),
-            )
-
-    def test_lru_dispatch_is_vectorized_for_all_ways(self):
-        # classify_lru IS the vectorized classifier at every geometry.
-        rng = np.random.default_rng(12)
-        lines = rng.integers(0, 48, 300).astype(np.int64)
-        writes = rng.random(300) < 0.3
-        for ways in (1, 2, 4):
-            assert_classifications_equal(
-                classify_lru(lines, writes, n_sets=2, ways=ways),
-                classify_vectorized(lines, writes, n_sets=2, ways=ways),
             )
 
 
@@ -247,39 +235,7 @@ class TestClassifierProperty:
             )
 
 
-# ------------------------------------------------------- engine selection
-
-
-class TestEngineSelection:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert resolve_engine() == "fast"
-        assert NMCSimulator().engine == "fast"
-
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert resolve_engine() == "reference"
-        assert NMCSimulator().engine == "reference"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert resolve_engine("fast") == "fast"
-
-    def test_invalid_engine_rejected(self, monkeypatch):
-        with pytest.raises(ConfigError):
-            resolve_engine("turbo")
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "turbo")
-        with pytest.raises(ConfigError):
-            resolve_engine()
-
-    def test_runtime_config_validates_engine(self):
-        with pytest.raises(ConfigError):
-            RuntimeConfig(sim_engine="turbo").validate()
-        RuntimeConfig(sim_engine="reference").validate()
-        assert ENGINES == SIM_ENGINES == ("fast", "reference")
-
-
-# ---------------------------------------------------- engine equivalence
+# ---------------------------------------------------- oracle equivalence
 
 GEOMETRIES = {
     # Table 3 defaults: tiny 2-way L1, the high-miss regime.
@@ -295,14 +251,14 @@ GEOMETRIES = {
 
 
 class TestEngineEquivalence:
-    """fast == reference, bit for bit, on every workload."""
+    """simulator == per-access oracle, bit for bit, on every workload."""
 
     def _compare(self, trace, cfg, name):
-        rf = NMCSimulator(cfg, engine="fast").run(
+        rf = NMCSimulator(cfg).run(
             trace, workload=name, parameters={"p": 1.0}
         )
-        rr = NMCSimulator(cfg, engine="reference").run(
-            trace, workload=name, parameters={"p": 1.0}
+        rr = simulate_reference(
+            trace, cfg, workload=name, parameters={"p": 1.0}
         )
         assert result_dict(rf) == result_dict(rr)
         return rf
@@ -360,8 +316,8 @@ class TestEngineEquivalence:
         results = {}
         for backend in ("hmc", "ddr4-channel"):
             cfg = NMCConfig.from_backend(backend)
-            fast = NMCSimulator(cfg, engine="fast").run(trace)
-            ref = NMCSimulator(cfg, engine="reference").run(trace)
+            fast = NMCSimulator(cfg).run(trace)
+            ref = simulate_reference(trace, cfg)
             assert result_dict(fast) == result_dict(ref), backend
             results[backend] = fast.time_s
         assert results["hmc"] != results["ddr4-channel"]
@@ -385,10 +341,8 @@ ATAX_CONFIGS = [
 ]
 
 
-def run_campaign(engine, jobs, arch=None):
-    campaign = SimulationCampaign(
-        arch, scale=4.0, jobs=jobs, engine=engine
-    )
+def run_campaign(jobs, arch=None):
+    campaign = SimulationCampaign(arch, scale=4.0, jobs=jobs)
     return campaign.run(get_workload("atax"), ATAX_CONFIGS, jobs=jobs)
 
 
@@ -401,21 +355,28 @@ def assert_rows_equal(got, expected):
         assert result_dict(a.result) == result_dict(b.result)
 
 
+def assert_rows_match_oracle(got):
+    """Every campaign row equals a per-access oracle run of its trace."""
+    expected = oracle_results(got, scale=4.0)
+    assert len(expected) == len(ATAX_CONFIGS)
+    assert [result_dict(r.result) for r in got.rows] == [
+        result_dict(r) for r in expected
+    ]
+
+
 class TestCampaignEquivalence:
     def test_fast_matches_reference_serial(self):
-        assert_rows_equal(run_campaign("fast", 1), run_campaign("reference", 1))
+        assert_rows_match_oracle(run_campaign(1))
 
     def test_fast_matches_reference_parallel(self):
-        assert_rows_equal(run_campaign("fast", 2), run_campaign("reference", 1))
+        assert_rows_match_oracle(run_campaign(2))
 
     def test_trace_reused_across_architectures(self):
         # Two campaigns over the same input points but different
         # architectures: the second must reuse the memoized traces.
-        run_campaign("fast", 1)
+        run_campaign(1)
         before = metrics().count("campaign.trace_reuse")
-        run_campaign(
-            "fast", 1, arch=default_nmc_config().replace(n_vaults=8)
-        )
+        run_campaign(1, arch=default_nmc_config().replace(n_vaults=8))
         after = metrics().count("campaign.trace_reuse")
         assert after >= before + len(ATAX_CONFIGS)
 
@@ -433,7 +394,7 @@ class TestClassificationMemo:
 
     def test_resimulating_a_trace_hits_every_memo(self):
         trace = small_trace("gemv")
-        sim = NMCSimulator(default_nmc_config(), engine="fast")
+        sim = NMCSimulator(default_nmc_config())
         first = sim.run(trace, workload="gemv")
         m = metrics()
         before = {name: m.count(name) for name in
@@ -448,20 +409,20 @@ class TestClassificationMemo:
         # Same traces (campaign trace memo), same L1 geometry, different
         # DRAM shape: classification is served from the memo while the
         # DRAM-dependent event build re-runs — and results still match
-        # the reference engine exactly.
-        run_campaign("fast", 1)
+        # the per-access oracle exactly.
+        run_campaign(1)
         hits_before = metrics().count("sim.memo.classify.hits")
         narrow = default_nmc_config().replace(n_vaults=8)
-        got = run_campaign("fast", 1, arch=narrow)
+        got = run_campaign(1, arch=narrow)
         assert (
             metrics().count("sim.memo.classify.hits")
             >= hits_before + len(ATAX_CONFIGS)
         )
-        assert_rows_equal(got, run_campaign("reference", 1, arch=narrow))
+        assert_rows_match_oracle(got)
 
     def test_parallel_memo_campaign_matches_serial(self):
-        serial = run_campaign("fast", 1)
-        assert_rows_equal(run_campaign("fast", 2), serial)
+        serial = run_campaign(1)
+        assert_rows_equal(run_campaign(2), serial)
 
 
 # ------------------------------------------------- compiled phase-B kernel
@@ -486,8 +447,8 @@ class TestJITEquivalence:
             cfg = default_nmc_config().replace(**replace)
             for name in ("atax", "kme"):
                 trace = small_trace(name)
-                fast = NMCSimulator(cfg, engine="fast").run(trace)
-                ref = NMCSimulator(cfg, engine="reference").run(trace)
+                fast = NMCSimulator(cfg).run(trace)
+                ref = simulate_reference(trace, cfg)
                 assert result_dict(fast) == result_dict(ref), (name, replace)
 
 
@@ -496,7 +457,7 @@ class TestJITEquivalence:
         if kernel is None:
             pytest.skip("no C compiler available")
         cfg = default_nmc_config()
-        bundle = NMCSimulator(cfg, engine="fast")._phase_a(
+        bundle = NMCSimulator(cfg)._phase_a(
             small_trace("atax")
         ).bundle
         cols = [
@@ -573,8 +534,8 @@ class TestKernelFallback:
         for label, cfg in FALLBACK_ARCHES.items():
             for name in ("atax", "bfs"):
                 trace = small_trace(name)
-                fast = NMCSimulator(cfg, engine="fast").run(trace)
-                ref = NMCSimulator(cfg, engine="reference").run(trace)
+                fast = NMCSimulator(cfg).run(trace)
+                ref = simulate_reference(trace, cfg)
                 assert result_dict(fast) == result_dict(ref), (label, name)
         assert len(heapq_runs) == 2 * len(FALLBACK_ARCHES)
         assert jit_status()["backend"] is None
@@ -607,8 +568,8 @@ class TestKernelFallback:
         assert not [p.name for p in cache.iterdir() if ".so" in p.name]
         trace = small_trace("gemv")
         cfg = default_nmc_config()
-        assert result_dict(NMCSimulator(cfg, engine="fast").run(trace)) == (
-            result_dict(NMCSimulator(cfg, engine="reference").run(trace))
+        assert result_dict(NMCSimulator(cfg).run(trace)) == (
+            result_dict(simulate_reference(trace, cfg))
         )
         assert len(kernel_warnings) == 1
 
@@ -631,8 +592,8 @@ class TestKernelCachePrivacy:
         assert "not private" in kernel_warnings[0].getMessage()
         trace = small_trace("bfs")
         cfg = default_nmc_config()
-        assert result_dict(NMCSimulator(cfg, engine="fast").run(trace)) == (
-            result_dict(NMCSimulator(cfg, engine="reference").run(trace))
+        assert result_dict(NMCSimulator(cfg).run(trace)) == (
+            result_dict(simulate_reference(trace, cfg))
         )
         assert len(kernel_warnings) == 1
 
@@ -690,24 +651,24 @@ class TestTracedEquivalence:
         """Hardware tracing forces the per-access path; results agree."""
         trace = small_trace("atax")
         cfg = default_nmc_config()
-        baseline = NMCSimulator(cfg, engine="reference").run(trace)
-        fast_plain = NMCSimulator(cfg, engine="fast").run(trace)
+        baseline = simulate_reference(trace, cfg)
+        fast_plain = NMCSimulator(cfg).run(trace)
         try:
             activate_tracing(tmp_path / "trace.json", hw=True)
-            traced = NMCSimulator(cfg, engine="fast").run(trace)
+            traced = NMCSimulator(cfg).run(trace)
         finally:
             reset_tracing()
         assert result_dict(traced) == result_dict(baseline)
         assert result_dict(fast_plain) == result_dict(baseline)
 
     def test_pipeline_traced_fast_run_stays_fast_and_identical(self, tmp_path):
-        """Pipeline-only tracing (hw=False) keeps the fast engine."""
+        """Pipeline-only tracing (hw=False) keeps the two-phase path."""
         trace = small_trace("mvt")
         cfg = default_nmc_config()
-        baseline = NMCSimulator(cfg, engine="reference").run(trace)
+        baseline = simulate_reference(trace, cfg)
         try:
             activate_tracing(tmp_path / "trace.json", hw=False)
-            traced = NMCSimulator(cfg, engine="fast").run(trace)
+            traced = NMCSimulator(cfg).run(trace)
         finally:
             reset_tracing()
         assert result_dict(traced) == result_dict(baseline)
