@@ -16,7 +16,7 @@ simulator's per-phase split (classify vs contend) is recorded for the best
 run, so a future regression is attributable to the phase that caused it.
 
 Phase B runs the compiled C kernel whenever the system C compiler
-builds it (see :mod:`repro.nmcsim._native`) — the record notes which
+builds it (see :mod:`repro._native`) — the record notes which
 backend actually ran.  The >= 10x aggregate-speedup assertion applies
 when the kernel is active; compiler-less hosts fall back to the heapq
 loop and the >= 3x floor.

@@ -5,15 +5,19 @@ wall-clock time of its simulation campaign ("DoE run"), the time to train
 and tune a NAPEL model on *all other* applications' data ("Train+Tune", the
 Section 3.3 protocol) and the time to predict the application's whole DoE
 ("Pred.").  Absolute numbers are seconds, not the paper's minutes — our
-substrate is a scaled Python simulator — but the structure (DoE run >>
-train+tune >> prediction; bfs/bp/kme the heaviest campaigns) reproduces.
+substrate is a scaled simulator with compiled profiling and contention
+kernels.  What is measured: train+tune >> prediction (about four orders
+of magnitude) and bfs/bp/kme the heaviest campaigns, as in the paper;
+but a whole CCD campaign (profiling plus simulation, 0.4-3.3 s on a
+2-vCPU host) now costs less than one tuned training (13-20 s), where
+the paper's Ramulator campaigns dominate training by about 20x.
 """
 
 import time
 
 from _bench_utils import emit, emit_record
 
-from repro import NapelTrainer
+from repro import NapelTrainer, analyze_trace
 from repro.core.reporting import format_table
 from repro.nmcsim import NMCSimulator
 
@@ -34,11 +38,14 @@ def test_table4_training_and_prediction_time(
 
     doe_seconds = dict(campaign.doe_run_seconds)
     # When the campaign came from the disk cache its wall-clock cost is
-    # zero; estimate the cold cost from one timed simulation per workload.
+    # zero; estimate the cold cost from one timed campaign point per
+    # workload: phase-1 profiling plus one simulation, as a cold
+    # campaign runs for every configuration.
     for w in workloads:
         if doe_seconds.get(w.name, 0.0) == 0.0:
-            trace = w.generate(w.central_config())
+            trace = w.generate(w.central_config(), scale=campaign.scale)
             start = _time.perf_counter()
+            analyze_trace(trace, workload=w.name)
             NMCSimulator(campaign.arch).run(trace, workload=w.name)
             per_config = _time.perf_counter() - start
             n_conf = len(full_training_set.filter(w.name))
@@ -83,8 +90,8 @@ def test_table4_training_and_prediction_time(
         )
     }, units="s")
 
-    # Structural assertions: run counts match the paper exactly; the time
-    # ordering DoE run >> train+tune >> prediction holds on average.
+    # Structural assertions: run counts match the paper exactly;
+    # prediction is faster than train+tune on average.
     for row in rows:
         assert row[1] == PAPER[row[0]][0]
     mean_pred = sum(float(r[4]) for r in rows) / len(rows)

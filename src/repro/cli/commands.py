@@ -318,6 +318,7 @@ def cmd_train(args: argparse.Namespace) -> None:
             cache=cache,
             scale=getattr(args, "scale", 1.0),
             jobs=getattr(args, "jobs", None),
+            memo_dir=getattr(args, "memo_dir", None),
         )
         for name in backends
     ]
@@ -672,6 +673,7 @@ def _suitability_by_backend(
         cache=cache,
         scale=getattr(args, "scale", 1.0),
         jobs=getattr(args, "jobs", None),
+        memo_dir=getattr(args, "memo_dir", None),
     )
     cache.save()
     best = {

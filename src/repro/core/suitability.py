@@ -23,6 +23,7 @@ same ranking.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -217,6 +218,7 @@ def analyze_backend_suitability(
     cache: CampaignCache | None = None,
     scale: float = 1.0,
     jobs: int | None = None,
+    memo_dir: str | os.PathLike | None = None,
     host_config: HostConfig | None = None,
     trainer_kwargs: dict | None = None,
 ) -> list[BackendSuitability]:
@@ -227,7 +229,9 @@ def analyze_backend_suitability(
     campaigns concatenate into a single multi-backend training set (the
     ``arch.backend.*`` one-hot keeps the backends apart), and for each
     workload a held-out model predicts the EDP of every backend.  Results
-    come back grouped by workload, best backend first.
+    come back grouped by workload, best backend first.  ``memo_dir``
+    points the campaigns' persistent phase-A memo store at a directory
+    (see :class:`~repro.core.campaign.SimulationCampaign`).
     """
     from ..backends import backend_names
 
@@ -238,7 +242,7 @@ def analyze_backend_suitability(
     campaigns = {
         name: SimulationCampaign(
             NMCConfig.from_backend(name),
-            cache=cache, scale=scale, jobs=jobs,
+            cache=cache, scale=scale, jobs=jobs, memo_dir=memo_dir,
         )
         for name in backends
     }

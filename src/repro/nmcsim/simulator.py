@@ -40,7 +40,7 @@ Two further levers sit on top of the two-phase path:
   under its own key, so DoE campaign points that share a slice skip the
   corresponding work entirely (``sim.memo.*`` counters).
 * **compiled phase B** — the contention loop runs as a C kernel
-  (:mod:`repro.nmcsim._native`) whenever the system C compiler builds
+  (:mod:`repro._native`) whenever the system C compiler builds
   it; without one, a warning is logged once and the byte-identical
   heapq loop :func:`_contend_python_bundle` runs instead.
 
@@ -63,7 +63,7 @@ from ..config import NMCConfig, default_nmc_config
 from ..errors import SimulationError
 from ..ir import OPCODE_LATENCY, InstructionTrace, Opcode
 from ..obs import get_logger, metrics, tracer
-from ._native import get_kernel
+from .._native import get_kernels
 from .cache import Cache, CacheStats
 from .classify import classify_vectorized
 from .dram import StackedMemory
@@ -74,13 +74,14 @@ from .results import SimulationResult
 log = get_logger("repro.nmcsim")
 
 def jit_status() -> dict:
-    """Phase-B kernel provenance for manifests (``sim_jit``) and
+    """Compiled-kernel provenance for manifests (``sim_jit``) and
     benchmark records.
 
-    ``backend`` is ``"cc"`` when the compiled kernel is in use, or None
-    when no C compiler built it and the heapq loop runs instead.
+    ``backend`` is ``"cc"`` when the compiled kernels (phase B and the
+    profiler's stack-distance and ILP loops) are in use, or None when no
+    C compiler built them and the Python loops run instead.
     """
-    return {"backend": get_kernel()[1]}
+    return {"backend": get_kernels()[1]}
 
 
 # --------------------------------------------------------------- memos
@@ -1055,13 +1056,13 @@ class NMCSimulator:
             return np.empty(0, dtype=np.float64)
         cfg = self.config
         ooo = cfg.pe_type == "ooo"
-        kernel = get_kernel()[0]
-        if kernel is None:
+        kernels = get_kernels()[0]
+        if kernels is None:
             return _contend_python_bundle(
                 bundle, memory,
                 ooo=ooo, mshrs=cfg.mshr_entries, l1_cycle_ns=cfg.cycle_ns,
             )
-        return kernel(
+        return kernels.contend(
             bundle.off, bundle.block, bundle.vault, bundle.bank,
             bundle.wblock, bundle.wvault, bundle.wbank,
             bundle.dnext, bundle.t0, bundle.tail,

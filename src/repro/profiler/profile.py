@@ -14,6 +14,7 @@ import numpy as np
 
 from ..errors import TraceError
 from ..ir import InstructionTrace
+from ..obs import metrics
 from .branching import branch_features
 from .features import FEATURE_NAMES, TOTAL_FEATURES
 from .footprint import footprint_features
@@ -99,19 +100,25 @@ def analyze_trace(
     This is NAPEL phase 1 (both for training and prediction): the analysis
     is purely a function of the instruction stream and contains no
     NMC-architecture knowledge.
+
+    The two heaviest families are timed as ``phase.profile.ilp`` and
+    ``phase.profile.reuse`` (children of a campaign's ``phase.profile``).
     """
+    m = metrics()
     features: dict[str, float] = {}
     features.update(instruction_mix_features(trace))
-    features.update(
-        ilp_features(trace, sample_limit=ilp_sample_limit, line_bytes=line_bytes)
-    )
-    data_feats, hists = data_reuse_features(
-        trace, line_bytes=line_bytes, sample_limit=reuse_sample_limit
-    )
-    features.update(data_feats)
-    features.update(
-        instruction_reuse_features(trace, sample_limit=reuse_sample_limit)
-    )
+    with m.timer("phase.profile.ilp"):
+        features.update(ilp_features(
+            trace, sample_limit=ilp_sample_limit, line_bytes=line_bytes
+        ))
+    with m.timer("phase.profile.reuse"):
+        data_feats, hists = data_reuse_features(
+            trace, line_bytes=line_bytes, sample_limit=reuse_sample_limit
+        )
+        features.update(data_feats)
+        features.update(
+            instruction_reuse_features(trace, sample_limit=reuse_sample_limit)
+        )
     features.update(memory_traffic_features(trace, hists, line_bytes=line_bytes))
     features.update(register_traffic_features(trace))
     features.update(footprint_features(trace, line_bytes=line_bytes))

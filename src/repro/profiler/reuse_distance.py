@@ -8,10 +8,11 @@ canonical hardware-independent description of temporal locality: a fully
 associative LRU cache of capacity ``C`` lines hits exactly the accesses with
 reuse distance < ``C``.
 
-The computation kernel (the classic Fenwick-tree / move-to-front
-formulation of Mattson's stack algorithm, O(M log M) over M accesses)
-lives in :mod:`repro.ir.stackdist`, shared with the NMC simulator's L1
-classifier; this module keeps the feature extraction.
+The computation kernel (the classic Fenwick-tree formulation of
+Mattson's stack algorithm, O(M log M) over M accesses, compiled when a C
+compiler is available) lives in :mod:`repro.ir.stackdist`, shared with
+the NMC simulator's L1 classifier; this module keeps the feature
+extraction.
 """
 
 from __future__ import annotations

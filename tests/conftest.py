@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from repro import SimulationCampaign, get_workload  # noqa: E402
 from repro.core.dataset import TrainingSet  # noqa: E402
-from repro.nmcsim import _native  # noqa: E402
+from repro import _native  # noqa: E402
 
 from _helpers import build_random_trace, build_stream_trace  # noqa: E402
 
@@ -29,8 +29,9 @@ def random_trace():
 
 @pytest.fixture
 def heapq_phase_b(monkeypatch):
-    """Run phase B on the heapq fallback loop for one test, as on a
-    host without a C compiler (the compiled kernel is restored after)."""
+    """Run on the Python fallback loops (phase B's heapq loop, the
+    profiler's stack-distance and ILP loops) for one test, as on a host
+    without a C compiler (the compiled kernels are restored after)."""
     monkeypatch.setattr(_native, "_RESOLVED", (None, None))
 
 

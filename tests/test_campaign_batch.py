@@ -33,7 +33,7 @@ from repro.nmcsim import (
     store_dir,
     store_status,
 )
-from repro.nmcsim import _native as native_mod
+from repro import _native as native_mod
 from repro.nmcsim import memostore as memostore_mod
 from repro.nmcsim import simulator as simulator_mod
 from repro.nmcsim.memostore import store_key

@@ -33,8 +33,8 @@ from repro.nmcsim import (
     simulate_reference,
     simulation_memo_summary,
 )
-from repro.nmcsim import _native as native_mod
-from repro.nmcsim._native import get_kernel
+from repro import _native as native_mod
+from repro._native import get_kernels
 from repro.obs import activate_tracing, metrics, reset_tracing
 
 WORKLOADS = [
@@ -431,11 +431,11 @@ class TestClassificationMemo:
 class TestJITEquivalence:
     def test_jit_status_shape(self):
         status = jit_status()
-        assert status == {"backend": get_kernel()[1]}
+        assert status == {"backend": get_kernels()[1]}
         assert status["backend"] in ("cc", None)
 
     def test_compiled_kernel_matches_reference(self):
-        kernel, backend = get_kernel()
+        kernel, backend = get_kernels()
         if kernel is None:
             pytest.skip("no C compiler available")
         assert jit_status() == {"backend": backend}
@@ -453,7 +453,7 @@ class TestJITEquivalence:
 
 
     def test_kernel_refuses_misread_arrays(self):
-        kernel, _ = get_kernel()
+        kernel, _ = get_kernels()
         if kernel is None:
             pytest.skip("no C compiler available")
         cfg = default_nmc_config()
@@ -470,15 +470,16 @@ class TestJITEquivalence:
             n_banks=cfg.n_vaults * cfg.banks_per_vault,
             n_vaults=cfg.n_vaults,
         )
-        assert len(kernel(*cols, (1.0,) * 9, **kwargs)) == bundle.n_packed
+        finish = kernel.contend(*cols, (1.0,) * 9, **kwargs)
+        assert len(finish) == bundle.n_packed
         narrow = list(cols)
         narrow[1] = bundle.block.astype(np.int32)
         with pytest.raises(TypeError):
-            kernel(*narrow, (1.0,) * 9, **kwargs)
+            kernel.contend(*narrow, (1.0,) * 9, **kwargs)
         strided = list(cols)
         strided[7] = np.repeat(bundle.dnext, 2)[::2]
         with pytest.raises(TypeError):
-            kernel(*strided, (1.0,) * 9, **kwargs)
+            kernel.contend(*strided, (1.0,) * 9, **kwargs)
 
 
 class _Records(logging.Handler):
@@ -561,7 +562,7 @@ class TestKernelFallback:
         monkeypatch.setattr(
             native_mod.shutil, "which", lambda name: str(fake)
         )
-        assert get_kernel() == (None, None)
+        assert get_kernels() == (None, None)
         assert jit_status() == {"backend": None}
         assert len(kernel_warnings) == 1
         assert "build failed" in kernel_warnings[0].getMessage()
@@ -576,7 +577,7 @@ class TestKernelFallback:
 
 def so_name():
     digest = hashlib.sha256(native_mod._C_SOURCE.encode()).hexdigest()[:16]
-    return f"contend-{digest}.so"
+    return f"kernels-{digest}.so"
 
 
 @pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX ownership")
@@ -586,7 +587,7 @@ class TestKernelCachePrivacy:
     with one warning and the heapq fallback."""
 
     def assert_refused(self, kernel_warnings):
-        assert get_kernel() == (None, None)
+        assert get_kernels() == (None, None)
         assert jit_status() == {"backend": None}
         assert len(kernel_warnings) == 1
         assert "not private" in kernel_warnings[0].getMessage()
